@@ -43,7 +43,12 @@ for phase in (0.0, 0.5 * np.pi, np.pi):
     t_b = t_a + phase / bmeson.delta_m
     print(f"  phase {phase:5.3f}  A = {mb.asymmetry(bmeson, t_a, t_b):+.4f}")
 
-# time-integrated like/unlike ratio; for equal widths R = x^2 / (2 + x^2)
-x = bmeson.mixing_x
-print(f"\nintegrated ratio (B): quadrature {mb.integrated_ratio(bmeson):.6f}"
-      f"   closed form {x * x / (2 + x * x):.6f}")
+# time-integrated like/unlike ratio; for equal widths R = x^2 / (2 + x^2).
+# Wrapping the joints makes them user-supplied providers, which
+# integrated_ratio integrates by adaptive cubature instead of the closed form.
+like = lambda p, t_a, t_b: mb.qm_like_joint(p, t_a, t_b)
+unlike = lambda p, t_a, t_b: mb.qm_unlike_joint(p, t_a, t_b)
+print("\nintegrated like/unlike ratio:")
+print(f"  {'':<8} {'closed form':>14} {'cubature':>14}")
+for p in (kaon, bmeson):
+    print(f"  {p.species:<8} {mb.integrated_ratio(p):14.10f} {mb.integrated_ratio(p, like, unlike):14.10f}")

@@ -27,7 +27,7 @@ from .bell import EXPECTED_B_TAGGING_EFFICIENCY, NO_BACKGROUND_CAVEAT, threshold
 from .constants import semileptonic_total, species_params
 from .fitting import FitProblem, evaluate_gap, fit_constant_weights
 from .lrm import EfficiencyWeights, RhoProfile, lrm_like_joint
-from .montecarlo import SimConfig, acceptance_bias_report, simulate
+from .montecarlo import SimConfig, _bias_report, simulate
 from .quantum import TimePair
 
 __all__ = ["main", "entry_point", "PRESETS"]
@@ -282,7 +282,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
         seed=scenario["seed"],
     )
     result = simulate(config)
-    bias = acceptance_bias_report(config)
+    bias = _bias_report(result)
     analytic = lrm_like_joint(scenario["params"], scenario["rho"], scenario["weights"], t_a, t_b)
     scale = _time_scale(scenario)
     print(f"species         = {scenario['params'].species}")
@@ -359,3 +359,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry_point() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

@@ -153,9 +153,10 @@ def survival(params: OscillationParams, which: str, t):
 
 
 def _q_general(gamma_s: float, gamma_l: float, delta_m: float, t, sign: float):
-    e_s = np.exp(-gamma_s * t)
-    e_l = np.exp(-gamma_l * t)
-    prefactor = 2.0 * np.sqrt(e_l * e_s) / (e_l + e_s)
+    # 2 sqrt(E_L E_S) / (E_L + E_S) = sech((gamma_s - gamma_l) t / 2), written
+    # with e^{-x} only so it stays finite where E_L and E_S both underflow
+    decay = np.exp(-0.5 * abs(gamma_s - gamma_l) * t)
+    prefactor = 2.0 * decay / (1.0 + decay * decay)
     return 0.5 * (1.0 + sign * prefactor * np.cos(delta_m * t))
 
 

@@ -141,7 +141,11 @@ def simulate(config: SimConfig) -> SimResult:
 
 def acceptance_bias_report(config: SimConfig) -> AcceptanceBiasReport:
     """Per-configuration acceptance rates from the same event stream as simulate."""
-    result = simulate(config)
+    return _bias_report(simulate(config))
+
+
+def _bias_report(result: SimResult) -> AcceptanceBiasReport:
+    """Per-configuration acceptance rates of an already simulated stream."""
     with np.errstate(invalid="ignore"):
         rates = np.where(result.pair_counts > 0,
                          result.accepted_counts / np.maximum(result.pair_counts, 1),

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,6 +179,17 @@ def test_thresholds_report(capsys):
     data_lines = [l for l in out.splitlines()[1:] if l and not l.startswith("note")]
     assert all(l.count("detection_loophole") == 2 for l in data_lines)
     assert "background-free" in out
+
+
+@pytest.mark.parametrize("module", ["mesonbell", "mesonbell.cli"])
+def test_module_entry_points_run_the_cli(module, capsys):
+    _, expected, _ = run(capsys, "thresholds")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-m", module, "thresholds"], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
+    assert "K_L semileptonic total" in proc.stdout
 
 
 def test_mc_deterministic_report(capsys):

@@ -79,6 +79,30 @@ def test_q_general_path_matches_equal_width_path():
         assert_allclose(_q_general(g, g, dm, t, sign), _q_equal(dm, t, sign), rtol=1e-12)
 
 
+def test_q_stays_finite_at_late_times():
+    # E_L and E_S both underflow past gamma_l t ~ 745
+    t = np.logspace(-3.0, 4.0, 400) / KAON.gamma_l
+    qp, qm = q_plus(KAON, t), q_minus(KAON, t)
+    assert np.all(np.isfinite(qp)) and np.all(np.isfinite(qm))
+    assert np.all((qp >= 0.0) & (qp <= 1.0) & (qm >= 0.0) & (qm <= 1.0))
+
+
+def test_zero_rho_admissible_at_late_times():
+    w2, w4 = RhoProfile.zero().checked_fractions(KAON, 1e-4)
+    assert np.isfinite(w2) and np.isfinite(w4)
+
+
+def test_q_general_matches_the_survival_ratio_form():
+    # the original prefactor 2 sqrt(E_L E_S) / (E_L + E_S), where it is defined
+    gs, gl, dm = KAON.gamma_s, KAON.gamma_l, KAON.delta_m
+    t = np.linspace(0.0, 700.0, 20001) / gl
+    e_s, e_l = np.exp(-gs * t), np.exp(-gl * t)
+    prefactor = 2.0 * np.sqrt(e_l * e_s) / (e_l + e_s)
+    for sign in (-1.0, +1.0):
+        old = 0.5 * (1.0 + sign * prefactor * np.cos(dm * t))
+        assert_allclose(_q_general(gs, gl, dm, t, sign), old, rtol=0.0, atol=1e-15)
+
+
 def test_rho_bounds_at_production():
     lo, up = rho_bounds(KAON, 0.0)
     assert lo == 0.0 and up == 0.0

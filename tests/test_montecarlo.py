@@ -6,6 +6,7 @@ from mesonbell.constants import BMESON, KAON
 from mesonbell.lrm import EfficiencyWeights, RhoProfile, lrm_like_joint
 from mesonbell.montecarlo import (
     SimConfig,
+    _bias_report,
     acceptance_bias_report,
     first_events,
     simulate,
@@ -60,6 +61,16 @@ def test_estimator_is_unbiased_over_many_seeds():
     estimates = np.asarray(estimates)
     sem = estimates.std(ddof=1) / np.sqrt(len(estimates))
     assert abs(estimates.mean() - analytic) < 5.0 * sem
+
+
+def test_bias_report_of_one_result_equals_the_public_report():
+    for config in (make_config(weights=(1.0, 0.13, 0.03, 0.04), n_events=50_000),
+                   make_config(n_events=1)):
+        helper = _bias_report(simulate(config))
+        public = acceptance_bias_report(config)
+        assert np.array_equal(helper.rates, public.rates, equal_nan=True)
+        assert np.array_equal(helper.pair_counts, public.pair_counts)
+        assert np.array_equal(helper.accepted_counts, public.accepted_counts)
 
 
 def test_acceptance_rates_track_the_weights():

@@ -1,7 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from mesonbell import quantum
 from mesonbell.constants import BMESON, KAON, OscillationParams
 from mesonbell.quantum import (
     Flavor,
@@ -18,6 +26,11 @@ from mesonbell.quantum import (
 )
 
 SPECIES = (KAON, BMESON)
+
+# Wrappers that are not the default providers, so integrated_ratio takes its
+# cubature path on them instead of the closed form.
+WRAPPED = (lambda p, a, b: qm_like_joint(p, a, b),
+           lambda p, a, b: qm_unlike_joint(p, a, b))
 
 
 def amplitude_joint(params, t_a, t_b, same_flavor):
@@ -150,37 +163,88 @@ def test_asymmetry_degenerate_denominator():
         asymmetry(BMESON, t, t + 1e-15)
 
 
-def test_integrated_ratio_bmeson_registry():
-    x = BMESON.delta_m / BMESON.gamma_s
-    expected = x * x / (2.0 + x * x)
-    assert_allclose(integrated_ratio(BMESON), expected, rtol=1e-6)
-    assert_allclose(integrated_ratio(BMESON), 0.2107, rtol=5e-4)
-
-
-def test_integrated_ratio_kaon_vs_closed_form():
-    # closed form from termwise Laplace integrals of the joint probabilities
-    gs, gl, dm = KAON.gamma_s, KAON.gamma_l, KAON.delta_m
+def laplace_ratio(params):
+    """Closed form from termwise Laplace integrals of the joint probabilities."""
+    gs, gl, dm = params.gamma_s, params.gamma_l, params.delta_m
     gbar = 0.5 * (gs + gl)
     direct = 1.0 / (gs * gl)
     cross = 1.0 / (gbar * gbar + dm * dm)
-    expected = (direct - cross) / (direct + cross)
-    assert_allclose(integrated_ratio(KAON), expected, rtol=1e-6)
+    return (direct - cross) / (direct + cross)
+
+
+def test_integrated_ratio_bmeson_registry():
+    x = BMESON.delta_m / BMESON.gamma_s
+    expected = x * x / (2.0 + x * x)
+    ratio = integrated_ratio(BMESON, *WRAPPED)
+    assert_allclose(ratio, expected, rtol=1e-6)
+    assert_allclose(ratio, 0.2107, rtol=5e-4)
+
+
+def test_integrated_ratio_kaon_vs_closed_form():
+    assert_allclose(integrated_ratio(KAON, *WRAPPED), laplace_ratio(KAON), rtol=1e-6)
 
 
 def test_integrated_ratio_no_oscillation():
     params = OscillationParams("bmeson", gamma_s=1e12, gamma_l=1e12, delta_m=0.0)
-    assert integrated_ratio(params) == pytest.approx(0.0, abs=1e-10)
+    assert integrated_ratio(params, *WRAPPED) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_integrated_ratio_strong_mixing():
     params = OscillationParams("bmeson", gamma_s=1e12, gamma_l=1e12, delta_m=1e13)
     x = 10.0
-    assert_allclose(integrated_ratio(params), x * x / (2 + x * x), rtol=1e-6)
+    assert_allclose(integrated_ratio(params, *WRAPPED), x * x / (2 + x * x), rtol=1e-6)
 
 
 def test_integrated_ratio_nonconvergence_raises():
     with pytest.raises(QuadratureError):
-        integrated_ratio(KAON, _limit=1)
+        integrated_ratio(KAON, *WRAPPED, _limit=1)
+
+
+def test_integrated_ratio_accepts_scalar_providers():
+    # constant providers: the ratio of the integrals is the ratio of the constants
+    value = integrated_ratio(BMESON, lambda p, ta, tb: 0.2, lambda p, ta, tb: 0.1)
+    assert_allclose(value, 2.0, rtol=1e-14)
+
+
+@pytest.mark.parametrize("params", SPECIES + (OscillationParams("probe", 30.0, 1.0, 10.0),),
+                         ids=lambda p: p.species)
+def test_integrated_ratio_generic_path_matches_closed_form(params):
+    rel_tol = 1e-8
+    closed = integrated_ratio(params)
+    assert_allclose(integrated_ratio(params, *WRAPPED, rel_tol=rel_tol), closed, rtol=rel_tol)
+
+
+def test_integrated_ratio_closed_form_special_cases(monkeypatch):
+    assert integrated_ratio(OscillationParams("bmeson", 1e12, 1e12, 0.0)) == 0.0
+    x = BMESON.delta_m / BMESON.gamma_s
+    assert integrated_ratio(BMESON) == x * x / (2.0 + x * x)
+    # rebinding the module names (say, to time them) keeps the closed form
+    monkeypatch.setattr(quantum, "qm_like_joint", WRAPPED[0])
+    monkeypatch.setattr(quantum, "qm_unlike_joint", WRAPPED[1])
+    assert integrated_ratio(BMESON) == x * x / (2.0 + x * x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gamma_s=st.floats(6.0, 14.0).map(lambda e: 10.0 ** e),
+       width_ratio=st.one_of(st.just(1.0), st.floats(-6.0, 0.0).map(lambda e: 10.0 ** e)),
+       mixing=st.one_of(st.just(0.0), st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)))
+def test_integrated_ratio_closed_form_matches_laplace_oracle(gamma_s, width_ratio, mixing):
+    params = OscillationParams("probe", gamma_s=gamma_s, gamma_l=gamma_s * width_ratio,
+                               delta_m=gamma_s * mixing)
+    ratio = integrated_ratio(params)
+    assert 0.0 <= ratio <= 1.0
+    # the oracle subtracts two nearly equal terms near R = 0, so its error
+    # is a few ulp absolute, not relative
+    assert_allclose(ratio, laplace_ratio(params), rtol=1e-12, atol=1e-14)
+
+
+def test_import_loads_no_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, mesonbell; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.strip() == "[]"
 
 
 def test_time_pair_validation():
