@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .bell import EXPECTED_B_TAGGING_EFFICIENCY, NO_BACKGROUND_CAVEAT, threshold_check
 from .constants import semileptonic_total, species_params
-from .fitting import FitProblem, evaluate_gap, fit_constant_weights
+from .fitting import FitProblem, _objective_value, evaluate_gap, fit_constant_weights
 from .lrm import EfficiencyWeights, RhoProfile, lrm_like_joint
 from .montecarlo import SimConfig, _bias_report, simulate
 from .quantum import TimePair
@@ -44,6 +44,11 @@ PRESETS: dict[str, dict] = {
 
 _RHO_KINDS = ("zero", "saturate_upper_short", "saturate_lower_short")
 
+# the types each --config value may take (flags arrive already parsed)
+_CONFIG_TYPES = {"species": (str,), "rho": (str, dict), "preset": (str,), "weights": (str, list),
+                 "eta": (int, float), "grid": (str, list), "tb_rule": (str, int, float),
+                 "seed": (int,), "n_events": (int,), "out": (str,), "time_unit": (str,)}
+
 _FMT = "{:.11e}"  # 12 significant digits
 
 
@@ -61,16 +66,17 @@ def _parse_weights(text: str) -> tuple[float, float, float, float]:
         raise CliError(f"--weights values must be numeric, got {text!r}") from None
 
 
-def _parse_grid(text: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise CliError(f"--grid expects 'tmin:tmax:n' in units of 1/gamma_s, got {text!r}")
+def _parse_grid(spec) -> tuple[float, float, int]:
+    """'tmin:tmax:n' from a flag, or [tmin, tmax, n] from a config file."""
+    parts = spec.split(":") if isinstance(spec, str) else spec
+    if len(parts) != 3 or (not isinstance(spec, str) and type(parts[2]) is not int):
+        raise CliError(f"--grid expects 'tmin:tmax:n' (integer n) in units of 1/gamma_s, got {spec!r}")
     try:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        raise CliError(f"--grid fields must be numeric, got {text!r}") from None
+    except (TypeError, ValueError):
+        raise CliError(f"--grid fields must be numeric, got {spec!r}") from None
     if n < 1 or hi < lo or lo < 0.0:
-        raise CliError(f"--grid needs 0 <= tmin <= tmax and n >= 1, got {text!r}")
+        raise CliError(f"--grid needs 0 <= tmin <= tmax and n >= 1, got {spec!r}")
     return lo, hi, n
 
 
@@ -98,12 +104,13 @@ def _parse_tb_rule(text: str):
 
 
 def _build_rho(spec) -> RhoProfile:
-    if isinstance(spec, RhoProfile):
-        return spec
     if isinstance(spec, dict):
         kind = spec.get("kind")
         if kind == "tabulated":
-            return RhoProfile.tabulated(spec["knots"])
+            try:
+                return RhoProfile.tabulated(spec["knots"])
+            except (KeyError, TypeError) as exc:
+                raise CliError(f"tabulated rho needs 'knots': [[t, rho], ...]; {exc!r}") from None
         spec = kind
     if spec in _RHO_KINDS:
         return RhoProfile(spec)
@@ -111,7 +118,7 @@ def _build_rho(spec) -> RhoProfile:
                    "or a config object {'kind': 'tabulated', 'knots': [[t, rho], ...]}")
 
 
-def _merge_config(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
+def _merge_config(args: argparse.Namespace) -> dict:
     merged: dict = {}
     if getattr(args, "config", None):
         try:
@@ -120,11 +127,17 @@ def _merge_config(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
             raise CliError(f"cannot read config file: {exc}") from None
         except json.JSONDecodeError as exc:
             raise CliError(f"config file is not valid JSON: {exc}") from None
-        unknown = set(file_values) - set(keys)
+        if not isinstance(file_values, dict):
+            raise CliError(f"config file must hold a JSON object, got {type(file_values).__name__}")
+        unknown = set(file_values) - set(_CONFIG_TYPES)
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_values.items():
+            if type(value) not in _CONFIG_TYPES[key]:
+                expected = " or ".join(t.__name__ for t in _CONFIG_TYPES[key])
+                raise CliError(f"config value {key!r} must be {expected}, got {type(value).__name__}")
         merged.update(file_values)
-    for key in keys:
+    for key in _CONFIG_TYPES:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
@@ -132,9 +145,7 @@ def _merge_config(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
 
 
 def _scenario(args: argparse.Namespace, *, need_eta: bool = False):
-    keys = ("species", "rho", "preset", "weights", "eta", "grid", "tb_rule",
-            "seed", "n_events", "out", "time_unit")
-    raw = _merge_config(args, keys)
+    raw = _merge_config(args)
 
     species = raw.get("species")
     rho_spec = raw.get("rho")
@@ -165,15 +176,13 @@ def _scenario(args: argparse.Namespace, *, need_eta: bool = False):
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad weights {weights_spec!r}: {exc}") from None
 
-    grid_spec = raw.get("grid", "0.2:5:200")
-    if isinstance(grid_spec, str):
-        grid_spec = _parse_grid(grid_spec)
-    lo, hi, n = grid_spec
+    lo, hi, n = _parse_grid(raw.get("grid", "0.2:5:200"))
     if n < 2 and not need_eta and args.command == "curve":
         raise CliError("curve grids need at least 2 points")
     slope, offset = _parse_tb_rule(str(raw.get("tb_rule", "2*t_a")))
-    t_a = np.linspace(lo, hi, int(n)) / params.gamma_s
-    t_b = slope * t_a + offset / params.gamma_s
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite times are rejected below
+        t_a = np.linspace(lo, hi, n) / params.gamma_s
+        t_b = slope * t_a + offset / params.gamma_s
     if np.any(t_b < 0.0):
         raise CliError("tb rule produced negative times")
 
@@ -238,7 +247,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     fitted = result.weights.as_tuple()
     baseline = evaluate_gap(scenario["params"], scenario["rho"], scenario["weights"],
                             scenario["t_a"], scenario["t_b"])
-    base_gap = baseline.max_abs_gap() if objective == "match_qm" else baseline.max_excess()
+    base_gap = _objective_value(baseline.gap, objective)
     print(f"objective       = {objective}")
     print(f"species         = {scenario['params'].species}")
     print(f"target_eta      = {_FMT.format(scenario['eta'])}")
@@ -352,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ZeroDivisionError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -26,7 +26,7 @@ from typing import Iterator
 import numpy as np
 
 from .constants import OscillationParams
-from .lrm import EfficiencyWeights, RhoProfile, joint_probabilities
+from .lrm import EfficiencyWeights, RhoProfile, _like_rate, joint_probabilities
 from .quantum import qm_like_joint
 
 __all__ = [
@@ -88,9 +88,13 @@ class FitProblem:
 
     def tables(self):
         """(P, qm) with P of shape (n, 4) and qm of shape (n,)."""
-        p = joint_probabilities(self.params, self.rho, self.grid_t_a, self.grid_t_b)
-        qm = np.asarray(qm_like_joint(self.params, self.grid_t_a, self.grid_t_b), dtype=float)
-        return p, qm
+        return _tables(self.params, self.rho, self.grid_t_a, self.grid_t_b)
+
+
+def _tables(params, rho, t_a, t_b):
+    p = np.atleast_2d(joint_probabilities(params, rho, t_a, t_b))
+    qm = np.atleast_1d(np.asarray(qm_like_joint(params, t_a, t_b), dtype=float))
+    return p, qm
 
 
 @dataclass(frozen=True)
@@ -129,11 +133,9 @@ class TrivialWeightsResult:
 
 
 def _trivial_ratio_table(params, rho, t_a, t_b):
-    p = np.atleast_2d(joint_probabilities(params, rho, t_a, t_b))
-    qm = np.atleast_1d(np.asarray(qm_like_joint(params, t_a, t_b), dtype=float))
+    p, qm = _tables(params, rho, t_a, t_b)
     supported = p > SUPPORT_FLOOR
     n_support = supported.sum(axis=1)
-    ratios = np.zeros_like(p)
     # spread the reproduction load evenly over the supported configurations
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(n_support > 0, 4.0 / np.maximum(n_support, 1), 0.0)
@@ -294,11 +296,11 @@ class CurveTable:
             )
 
     def max_abs_gap(self) -> float:
-        return float(np.max(np.abs(self.gap)))
+        return _objective_value(self.gap, "match_qm")
 
     def max_excess(self) -> float:
         """Largest positive overshoot of the LRM above the QM curve."""
-        return float(max(0.0, np.max(self.gap)))
+        return _objective_value(self.gap, "underbound_qm")
 
 
 def evaluate_gap(params: OscillationParams, rho: RhoProfile, weights: EfficiencyWeights,
@@ -306,8 +308,6 @@ def evaluate_gap(params: OscillationParams, rho: RhoProfile, weights: Efficiency
     """Tabulate QM, weighted LRM, the four P_i and the signed gap on a grid."""
     t_a = np.asarray(grid_t_a, dtype=float)
     t_b = np.asarray(grid_t_b, dtype=float)
-    p = np.atleast_2d(joint_probabilities(params, rho, t_a, t_b))
-    w = np.atleast_2d(weights.values(t_a, t_b))
-    lrm = 0.25 * np.sum(w * p, axis=-1)
-    qm = np.atleast_1d(np.asarray(qm_like_joint(params, t_a, t_b), dtype=float))
+    p, qm = _tables(params, rho, t_a, t_b)
+    lrm = _like_rate(np.atleast_2d(weights.values(t_a, t_b)), p, t_a, t_b)
     return CurveTable(t_a=t_a, t_b=t_b, qm=qm, lrm=lrm, p=p, gap=lrm - qm)

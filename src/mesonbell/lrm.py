@@ -48,6 +48,9 @@ ta <= tb are
     P3 = E_L(ta) w4(ta)       * E_S(ta) p21(tb|ta)
     P4 = E_L(ta) [1 - w4(ta)] * E_S(ta) p21(tb|ta)
 
+For ta > tb the sides are relabelled (configurations 1<->4, 2<->3): P1..P4 at
+(ta, tb) are P4..P1 above at (tb, ta); only p21/p43(tb|ta) need ta <= tb.
+
 Validity note: the increment form only represents probabilities where the
 flip fractions are non-decreasing.  Once the cos(delta_m t) oscillation
 outruns the decay envelope (near delta_m t ~ pi with kaon parameters, i.e.
@@ -152,24 +155,14 @@ def survival(params: OscillationParams, which: str, t):
     raise ValueError(f"which must be 'short' or 'long', got {which!r}")
 
 
-def _q_general(gamma_s: float, gamma_l: float, delta_m: float, t, sign: float):
-    # 2 sqrt(E_L E_S) / (E_L + E_S) = sech((gamma_s - gamma_l) t / 2), written
-    # with e^{-x} only so it stays finite where E_L and E_S both underflow
-    decay = np.exp(-0.5 * abs(gamma_s - gamma_l) * t)
-    prefactor = 2.0 * decay / (1.0 + decay * decay)
-    return 0.5 * (1.0 + sign * prefactor * np.cos(delta_m * t))
-
-
-def _q_equal(delta_m: float, t, sign: float):
-    # equal widths: the prefactor is identically one
-    return 0.5 * (1.0 + sign * np.cos(delta_m * t))
-
-
 def _q(params: OscillationParams, t, sign: float):
+    # 2 sqrt(E_L E_S) / (E_L + E_S) = sech((gamma_s - gamma_l) t / 2), written
+    # with e^{-x} only so it stays finite where E_L and E_S both underflow; at
+    # equal widths it is exactly 2 / (1 + 1) = 1
     t = np.asarray(t, dtype=float)
-    if params.equal_widths:
-        return _q_equal(params.delta_m, t, sign)
-    return _q_general(params.gamma_s, params.gamma_l, params.delta_m, t, sign)
+    decay = np.exp(-0.5 * abs(params.gamma_s - params.gamma_l) * t)
+    prefactor = 2.0 * decay / (1.0 + decay * decay)
+    return 0.5 * (1.0 + sign * prefactor * np.cos(params.delta_m * t))
 
 
 def q_plus(params: OscillationParams, t):
@@ -332,6 +325,7 @@ def p43_initial(params: OscillationParams, rho: RhoProfile, t):
 
 
 def _require_ordered(t_a, t_b) -> None:
+    _check_times(t_a, t_b)
     if np.any(np.asarray(t_b, dtype=float) < np.asarray(t_a, dtype=float)):
         raise TimeOrderingError("conditional flips require t_a <= t_b")
 
@@ -343,47 +337,44 @@ def _snap(x):
     return out if out.ndim else float(out)
 
 
+def _increments(params: OscillationParams, rho: RhoProfile, t_a, t_b):
+    """Flip fractions (w2, w4) at t_a and the flips (p21, p43) within (t_a, t_b]."""
+    w2, w4 = rho.checked_fractions(params, t_a)
+    w2_b, w4_b = rho.checked_fractions(params, t_b)
+    dt = np.asarray(t_b, dtype=float) - np.asarray(t_a, dtype=float)
+    return (w2, w4, np.exp(-params.gamma_s * dt) * (w2_b - w2),
+            np.exp(-params.gamma_l * dt) * (w4_b - w4))
+
+
 def p21_conditional(params: OscillationParams, rho: RhoProfile, t_a, t_b):
     """Short-branch flip probability within (t_a, t_b], survival included.
 
     Exactly zero at t_b = t_a.  Negative values flag the turnover region of
     the simplified model (see module docstring); they are not clamped.
     """
-    _check_times(t_a, t_b)
     _require_ordered(t_a, t_b)
-    w2_a, _ = rho.checked_fractions(params, t_a)
-    w2_b, _ = rho.checked_fractions(params, t_b)
-    dt = np.asarray(t_b, dtype=float) - np.asarray(t_a, dtype=float)
-    return _snap(np.exp(-params.gamma_s * dt) * (w2_b - w2_a))
+    return _snap(_increments(params, rho, t_a, t_b)[2])
 
 
 def p43_conditional(params: OscillationParams, rho: RhoProfile, t_a, t_b):
     """Long-branch flip probability within (t_a, t_b], survival included."""
-    _check_times(t_a, t_b)
     _require_ordered(t_a, t_b)
-    _, w4_a = rho.checked_fractions(params, t_a)
-    _, w4_b = rho.checked_fractions(params, t_b)
-    dt = np.asarray(t_b, dtype=float) - np.asarray(t_a, dtype=float)
-    return _snap(np.exp(-params.gamma_l * dt) * (w4_b - w4_a))
+    return _snap(_increments(params, rho, t_a, t_b)[3])
 
 
 def joint_probabilities(params: OscillationParams, rho: RhoProfile, t_a, t_b):
     """The four like-flavor joint probabilities P1..P4, stacked on a new last axis.
 
-    Requires t_a <= t_b (use lrm_like_joint for the symmetrized observable).
+    Either time order: for t_a > t_b the sides are relabelled (module docstring).
     """
     _check_times(t_a, t_b)
-    _require_ordered(t_a, t_b)
     t_a = np.asarray(t_a, dtype=float)
     t_b = np.asarray(t_b, dtype=float)
-    w2, w4 = rho.checked_fractions(params, t_a)
-    w2_b, w4_b = rho.checked_fractions(params, t_b)
-    dt = t_b - t_a
-    c21 = np.exp(-params.gamma_s * dt) * (w2_b - w2)
-    c43 = np.exp(-params.gamma_l * dt) * (w4_b - w4)
-    e_s = np.exp(-params.gamma_s * t_a)
-    e_l = np.exp(-params.gamma_l * t_a)
-    first = e_s * e_l
+    swapped = t_a > t_b
+    if np.any(swapped):
+        t_a, t_b = np.minimum(t_a, t_b), np.maximum(t_a, t_b)
+    w2, w4, c21, c43 = _increments(params, rho, t_a, t_b)
+    first = np.exp(-params.gamma_s * t_a) * np.exp(-params.gamma_l * t_a)
     stacked = np.stack(
         [
             first * w2 * c43,
@@ -393,7 +384,12 @@ def joint_probabilities(params: OscillationParams, rho: RhoProfile, t_a, t_b):
         ],
         axis=-1,
     )
-    return _snap(stacked)
+    return _snap(_relabel(stacked, swapped))
+
+
+def _relabel(x, swapped):
+    """Reverse the configuration axis of x on the rows where t_a > t_b."""
+    return np.where(swapped[..., None], x[..., ::-1], x) if np.any(swapped) else x
 
 
 def joint_p(params: OscillationParams, rho: RhoProfile, index: int, t_a, t_b):
@@ -460,23 +456,17 @@ def _validate_weight_values(values: np.ndarray) -> None:
         raise WeightRangeError(f"acceptance weights must lie in [0, 1]; got {bad.flat[0]!r}")
 
 
-def lrm_like_joint(params: OscillationParams, rho: RhoProfile, weights: EfficiencyWeights, t_a, t_b):
-    """Efficiency-weighted like-flavor prediction (1/4) sum_i a_i P_i.
+def _like_rate(w, p, t_a, t_b):
+    """(1/4) sum_i a_i P_i; relabelled rows sum in time order, so both orders agree bit for bit."""
+    prod = _relabel(w * p, np.asarray(t_a) > np.asarray(t_b))
+    return 0.25 * np.sum(prod, axis=-1)
 
-    Symmetric in its time arguments: for t_a > t_b the two sides are
-    relabelled, which maps configurations 1<->4 and 2<->3, so the joint
-    probabilities are evaluated at the ordered times with the weight order
-    reversed.  Time-dependent weights are always evaluated at the caller's
-    (t_a, t_b).
+
+def lrm_like_joint(params: OscillationParams, rho: RhoProfile, weights: EfficiencyWeights, t_a, t_b):
+    """Efficiency-weighted like-flavor prediction (1/4) sum_i a_i P_i, either time order.
+
+    Time-dependent weights are evaluated at the caller's (t_a, t_b).
     """
-    _check_times(t_a, t_b)
-    t_a = np.asarray(t_a, dtype=float)
-    t_b = np.asarray(t_b, dtype=float)
-    lo = np.minimum(t_a, t_b)
-    hi = np.maximum(t_a, t_b)
-    p = joint_probabilities(params, rho, lo, hi)
-    w = weights.values(t_a, t_b)
-    swapped = (t_a > t_b)[..., None]
-    w_eff = np.where(swapped, w[..., ::-1], w)
-    out = 0.25 * np.sum(w_eff * p, axis=-1)
+    p = joint_probabilities(params, rho, t_a, t_b)
+    out = _like_rate(weights.values(t_a, t_b), p, t_a, t_b)
     return out if out.ndim else float(out)

@@ -20,7 +20,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import mesonbell as mb
-from mesonbell.lrm import _q_equal, _q_general
+from mesonbell.lrm import _q
 from mesonbell.quantum import _joint_equal_width, _joint_general
 
 KAON = mb.KAON
@@ -209,8 +209,8 @@ def test_criterion_07_bmeson_consistency_and_integrated_ratio():
         general = _joint_general(g, g, dm, t_a, t_b, sign)
         special = _joint_equal_width(g, dm, t_a, t_b, sign)
         worst_path = max(worst_path, float(np.max(np.abs(general / special - 1.0))))
-        q_g = _q_general(g, g, dm, t_a, sign)
-        q_e = _q_equal(dm, t_a, sign)
+        q_g = _q(BMESON, t_a, sign)
+        q_e = 0.5 * (1.0 + sign * np.cos(dm * t_a))  # equal widths: unit prefactor
         worst_path = max(worst_path, float(np.max(np.abs(q_g / q_e - 1.0))))
     paths_ok = worst_path < 1e-12
 

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mesonbell.cli import PRESETS, main
 from mesonbell.constants import KAON
@@ -98,6 +103,44 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 6  # header + 5 (flag wins)
 
 
+def report_fields(out):
+    return dict((k.strip(), v.strip()) for k, v in
+                (line.split("=", 1) for line in out.splitlines() if "=" in line))
+
+
+def test_curve_backward_tb_rule_relabels_the_forward_table(capsys):
+    # t_b = t_a / 2 is the forward fig3 ray read from the other side: the
+    # same time pairs (t_b, t_a) come from grid 0.1:2.5 with t_b = 2 t_a
+    code, back, err = run(capsys, "curve", "--preset", "fig3", "--tb-rule", "0.5*t_a")
+    assert code == 0 and err == ""
+    code, fwd, _ = run(capsys, "curve", "--preset", "fig3", "--grid", "0.1:2.5:200")
+    assert code == 0
+    back_rows = [line.split(",") for line in back.splitlines()[1:]]
+    fwd_rows = [line.split(",") for line in fwd.splitlines()[1:]]
+    assert len(back_rows) == len(fwd_rows) == 200
+    for b, f in zip(back_rows, fwd_rows):
+        assert b[3:7] == f[3:7][::-1]
+        assert b[1] == f[1]  # the QM rate is symmetric
+
+
+def test_fit_backward_tb_rule(capsys):
+    code, out, err = run(capsys, "fit", "--preset", "fig3", "--eta", "0.3", "--tb-rule", "0.5*t_a")
+    assert code == 0 and err == ""
+    fitted = [float(x) for x in report_fields(out)["fitted_weights"].split(",")]
+    assert abs(np.mean(fitted) - 0.3) < 1e-12
+
+
+def test_mc_backward_times_match_the_mirrored_scenario(capsys):
+    code, back, err = run(capsys, "mc", "--preset", "fig3", "--grid", "1:1:1",
+                          "--tb-rule", "0.5*t_a", "--n-events", "20000")
+    assert code == 0 and err == ""
+    code, mirrored, _ = run(capsys, "mc", "--species", "kaon", "--rho", "zero",
+                            "--weights", "0.04,0.03,0.13,1.0", "--grid", "0.5:0.5:1",
+                            "--n-events", "20000")
+    assert code == 0
+    assert report_fields(back)["analytic_lrm"] == report_fields(mirrored)["analytic_lrm"]
+
+
 def test_unknown_preset_is_single_line_error(capsys):
     code, out, err = run(capsys, "curve", "--preset", "fig9")
     assert code == 1
@@ -111,6 +154,78 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     config.write_text(json.dumps({"species": "kaon", "flavor": "up"}))
     code, _, err = run(capsys, "curve", "--config", str(config))
     assert code == 1 and "unknown config keys" in err
+
+
+@pytest.mark.parametrize("command,config", [
+    ("curve", 5), ("curve", [1]), ("curve", "fig3"), ("curve", None), ("curve", {"grid": 5}),
+    ("mc", {"seed": [1]}), ("curve", {"grid": None}), ("curve", {"eta": "0.3"}),
+    ("curve", {"grid": [0.2, 5, 2.5]}), ("curve", {"rho": {"kind": "tabulated"}}),
+    ("curve", {"weights": [10**400, 0, 0, 0]}), ("fit", {"eta": 10**400}),
+], ids=lambda v: v if v in ("curve", "mc", "fit") else json.dumps(v)[:32])
+def test_bad_config_values_are_single_line_errors(tmp_path, capsys, command, config):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, command, "--config", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_overflowing_time_rule_is_one_error_line(capsys):
+    # a numpy warning would print its own lines on stderr ahead of the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "curve", "--grid", "0:1e300:3", "--tb-rule", "1e300*t_a")
+    assert code == 1 and err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 300) | st.floats() | st.text(max_size=10),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+# plausible values next to arbitrary JSON, so that valid scenarios occur too;
+# integers stay small because a valid grid or sample size is a real workload
+_PLAUSIBLE = {
+    "species": st.sampled_from(["kaon", "bmeson", "pion"]),
+    "rho": st.sampled_from(["zero", "saturate_upper_short", "saturate_lower_short", "flat"])
+    | st.fixed_dictionaries({"kind": st.just("tabulated"),
+                             "knots": st.lists(st.lists(st.floats(0.0, 1e-9), min_size=2, max_size=2),
+                                               max_size=3)}),
+    "preset": st.sampled_from(sorted(PRESETS) + ["fig9"]),
+    "weights": st.just("1,0.13,0.03,0.04") | st.lists(st.floats(-0.5, 1.5), min_size=3, max_size=5),
+    "eta": st.floats(-0.5, 1.5),
+    "grid": st.sampled_from(["0.2:5:3", "1:1:1", "5:0:3", "0.2:5:0", "0.2:5"])
+    | st.lists(st.floats(0.0, 6.0) | st.integers(-1, 4), min_size=2, max_size=4),
+    "tb_rule": st.sampled_from(["2*t_a", "0.5*t_a", "t_a+0.5", "3.0", "t_a", "t_b"]),
+    "seed": st.integers(-2, 2**40),
+    "n_events": st.integers(-2, 2000),
+    "time_unit": st.sampled_from(["gamma_s", "seconds", "days"]),
+    # never an arbitrary string: the value is a path the command writes to
+    "out": st.just("-") | _JSON.filter(lambda v: not isinstance(v, str)),
+}
+_CONFIGS = _JSON | st.sets(st.sampled_from(sorted(_PLAUSIBLE)), max_size=6).flatmap(
+    lambda keys: st.fixed_dictionaries(
+        {key: _PLAUSIBLE[key] if key == "out" else _JSON | _PLAUSIBLE[key] for key in keys}))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(config=_CONFIGS, command=st.sampled_from(["curve", "mc", "fit"]))
+def test_any_json_config_exits_cleanly(tmp_path, config, command):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    # a warning would print lines of its own on stderr ahead of the error line
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--config", str(path)])
+    assert not caught, [str(w.message) for w in caught]
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert code == 1 and len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
 
 
 def test_inadmissible_rho_propagates_with_time(capsys):

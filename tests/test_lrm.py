@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mesonbell.constants import BMESON, KAON, OscillationParams
@@ -11,8 +13,7 @@ from mesonbell.lrm import (
     RhoProfile,
     TimeOrderingError,
     WeightRangeError,
-    _q_equal,
-    _q_general,
+    _q,
     joint_p,
     joint_probabilities,
     lrm_like_joint,
@@ -75,8 +76,11 @@ def test_q_bmeson_half_period():
 def test_q_general_path_matches_equal_width_path():
     g, dm = 0.646e12, 0.472e12
     t = np.linspace(0.01, 8.0, 100) / g
+    equal = OscillationParams("bmeson", gamma_s=g, gamma_l=g, delta_m=dm)
     for sign in (-1.0, +1.0):
-        assert_allclose(_q_general(g, g, dm, t, sign), _q_equal(dm, t, sign), rtol=1e-12)
+        # equal widths: the prefactor is identically one
+        q_equal = 0.5 * (1.0 + sign * np.cos(dm * t))
+        assert_allclose(_q(equal, t, sign), q_equal, rtol=1e-12)
 
 
 def test_q_stays_finite_at_late_times():
@@ -100,7 +104,7 @@ def test_q_general_matches_the_survival_ratio_form():
     prefactor = 2.0 * np.sqrt(e_l * e_s) / (e_l + e_s)
     for sign in (-1.0, +1.0):
         old = 0.5 * (1.0 + sign * prefactor * np.cos(dm * t))
-        assert_allclose(_q_general(gs, gl, dm, t, sign), old, rtol=0.0, atol=1e-15)
+        assert_allclose(_q(KAON, t, sign), old, rtol=0.0, atol=1e-15)
 
 
 def test_rho_bounds_at_production():
@@ -226,7 +230,10 @@ def test_conditional_requires_time_order():
     with pytest.raises(TimeOrderingError):
         p21_conditional(KAON, ZERO, 2 / G, 1 / G)
     with pytest.raises(TimeOrderingError):
-        joint_probabilities(KAON, ZERO, 2 / G, 1 / G)
+        p43_conditional(KAON, ZERO, 2 / G, 1 / G)
+    # the joints relabel the sides instead: configurations 1<->4, 2<->3
+    assert np.array_equal(joint_probabilities(KAON, ZERO, 2 / G, 1 / G),
+                          joint_probabilities(KAON, ZERO, 1 / G, 2 / G)[::-1])
 
 
 def test_conditional_matches_published_form():
@@ -345,6 +352,47 @@ def test_lrm_symmetrization_swaps_configurations():
     out = lrm_like_joint(KAON, ZERO, w, ta, tb)
     assert_allclose(out[0], lrm_like_joint(KAON, ZERO, w, 1 / G, 2 / G), rtol=1e-15)
     assert_allclose(out[1], lrm_like_joint(KAON, ZERO, w_rev, 1 / G, 2 / G), rtol=1e-15)
+
+
+# time pairs in units of 1/gamma_s, equal times included; one pair is passed
+# as scalars, several as arrays that mix both time orders
+_TIME_PAIRS = st.lists(st.tuples(st.floats(0.0, 6.0), st.floats(0.0, 6.0)), min_size=1, max_size=12)
+_SPECIES = st.sampled_from([KAON, BMESON])
+_PROFILES = st.sampled_from([ZERO, SAT_UP, SAT_LO])
+
+
+def _times(params, pairs):
+    t_a, t_b = (np.array(column) / params.gamma_s for column in zip(*pairs))
+    return (float(t_a[0]), float(t_b[0])) if len(pairs) == 1 else (t_a, t_b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=_SPECIES, rho=_PROFILES, pairs=_TIME_PAIRS)
+def test_joint_probabilities_relabel_under_time_swap(params, rho, pairs):
+    t_a, t_b = _times(params, pairs)
+    try:
+        forward = joint_probabilities(params, rho, t_a, t_b)
+    except InadmissibleRhoError:
+        # both orders evaluate rho at the same times
+        with pytest.raises(InadmissibleRhoError):
+            joint_probabilities(params, rho, t_b, t_a)
+        return
+    assert np.array_equal(forward, joint_probabilities(params, rho, t_b, t_a)[..., ::-1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=_SPECIES, rho=_PROFILES, pairs=_TIME_PAIRS,
+       a=st.tuples(*[st.floats(0.0, 1.0)] * 4))
+def test_lrm_like_joint_swap_symmetry_with_reversed_weights(params, rho, pairs, a):
+    t_a, t_b = _times(params, pairs)
+    w, w_rev = EfficiencyWeights.constant(*a), EfficiencyWeights.constant(*a[::-1])
+    try:
+        forward = lrm_like_joint(params, rho, w, t_a, t_b)
+    except InadmissibleRhoError:
+        with pytest.raises(InadmissibleRhoError):
+            lrm_like_joint(params, rho, w_rev, t_b, t_a)
+        return
+    assert np.array_equal(forward, lrm_like_joint(params, rho, w_rev, t_b, t_a))
 
 
 def test_trivial_pointwise_weights_reproduce_qm_at_a_feasible_point():

@@ -124,6 +124,16 @@ def test_flavor_table_entries_and_normalization():
     assert_allclose(sum(table.values()), 0.25085592634238657, rtol=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(params=st.sampled_from(SPECIES), u_a=st.floats(0.0, 8.0), u_b=st.floats(0.0, 8.0))
+def test_flavor_table_sums_to_the_joint_survival(params, u_a, u_b):
+    t_a, t_b = u_a / params.gamma_s, u_b / params.gamma_s
+    gs, gl = params.gamma_s, params.gamma_l
+    # (1/2)[E_S(t_a) E_L(t_b) + E_L(t_a) E_S(t_b)]
+    expected = 0.5 * (np.exp(-gs * t_a) * np.exp(-gl * t_b) + np.exp(-gl * t_a) * np.exp(-gs * t_b))
+    assert_allclose(sum(qm_flavor_table(params, t_a, t_b).values()), expected, rtol=1e-12)
+
+
 def test_flavor_table_at_production():
     table = qm_flavor_table(BMESON, 0.0, 0.0)
     for outcome, value in table.items():
