@@ -37,7 +37,7 @@ fit = mb.fit_constant_weights(problem)
 print(f"\nconstant weights at eta = 0.3 (kaon, rho = 0, max-norm objective):")
 print(f"  preset (1, 0.13, 0.03, 0.04):  max gap = {preset_gap:.6f}")
 print(f"  fitted {tuple(round(w, 4) for w in fit.weights.as_tuple())}:"
-      f"  max gap = {fit.max_abs_gap:.6f}  ({fit.iterations} objective evaluations)")
+      f"  max gap = {fit.max_abs_gap:.6f}  ({fit.iterations} LP iterations)")
 
 # pushing the model *below* the quantum curve is even easier
 under = mb.FitProblem.on_default_grid(kaon, mb.RhoProfile.saturate_upper_short(),

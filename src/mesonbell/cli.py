@@ -215,11 +215,10 @@ def _time_scale(scenario) -> float:
 
 
 def _write_csv(table, scenario) -> None:
-    scale = _time_scale(scenario)
-    lines = ["t_a,qm,lrm,p1,p2,p3,p4,gap"]
-    for row in table.rows(time_scale=scale):
-        lines.append(",".join(_FMT.format(v) for v in row))
-    text = "\n".join(lines) + "\n"
+    cols = np.column_stack([table.t_a * _time_scale(scenario), table.qm, table.lrm, table.p, table.gap])
+    # one %-format over the whole table; "%.11e" prints the same bytes as _FMT
+    row = ",".join(["%.11e"] * cols.shape[1])
+    text = "\n".join([",".join(table.columns)] + [row] * len(cols)) % tuple(cols.ravel().tolist()) + "\n"
     out = scenario["out"]
     if out in (None, "-"):
         sys.stdout.write(text)
@@ -255,7 +254,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     print("fitted_weights  = " + ",".join(_FMT.format(w) for w in fitted))
     print(f"max_gap         = {_FMT.format(result.max_abs_gap)}")
     print(f"input_gap       = {_FMT.format(base_gap)}  (gap of the --weights/preset values)")
-    print(f"evaluations     = {result.iterations}")
+    print(f"iterations      = {result.iterations}")
     if scenario["out"]:
         table = evaluate_gap(scenario["params"], scenario["rho"], result.weights,
                              scenario["t_a"], scenario["t_b"])

@@ -8,10 +8,9 @@ problems are posed over a time grid:
   * ``underbound_qm`` minimize  max_k max(0, LRM_k(a) - QM_k)
 
 subject to a fixed total efficiency mean(a) = eta and box bounds
-a_i in [0, 1].  Both objectives are convex piecewise-linear in a; they are
-minimized by deterministic multi-start projected coordinate descent (pairwise
-exchange moves preserve the efficiency constraint exactly, each move solved
-by ternary search on the convex one-dimensional section).
+a_i in [0, 1].  With one extra variable t bounding the gaps, both are
+linear programs in (a1..a4, t), solved exactly by one HiGHS call
+(``scipy.optimize`` is imported only there).
 
 There is also the pointwise "trivial" assignment a_i = QM / P_i that
 reproduces QM identically wherever it is feasible, i.e. wherever the
@@ -20,7 +19,7 @@ required ratios stay inside [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -44,11 +43,6 @@ OBJECTIVES = ("match_qm", "underbound_qm")
 
 # P_i at or below this is treated as unsupported when forming QM / P_i.
 SUPPORT_FLOOR = 1e-300
-
-_MAX_EVALS = 100_000
-_PASS_TOL = 1e-12
-_TERNARY_ITERS = 70
-_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def default_grid(params: OscillationParams, n: int = 200,
@@ -158,11 +152,24 @@ def trivial_weights(problem: FitProblem) -> TrivialWeightsResult:
     feasible = ~capped & np.any(supported, axis=1)
     clipped = np.clip(ratios, 0.0, 1.0)
 
+    # EfficiencyWeights.values calls the four weights in turn with the same
+    # times, so they share the last table built, held as one
+    # (t_a, t_b, ratios) entry that is replaced whole
+    last: list = [None]
+
+    def shared_ratios(t_a, t_b):
+        t_a = np.asarray(t_a, dtype=float)
+        t_b = np.asarray(t_b, dtype=float)
+        entry = last[0]
+        if entry is None or not (np.array_equal(t_a, entry[0]) and np.array_equal(t_b, entry[1])):
+            entry = (t_a.copy(), t_b.copy(), _trivial_ratio_table(params, rho, t_a, t_b)[0])
+            last[0] = entry
+        return entry[2]
+
     def make_weight(i):
         def weight(t_a, t_b):
-            r, _ = _trivial_ratio_table(params, rho, t_a, t_b)
-            out = np.clip(r[..., i], 0.0, 1.0)
-            return out if np.ndim(t_a) or np.ndim(t_b) else float(out)
+            out = np.clip(shared_ratios(t_a, t_b)[..., i], 0.0, 1.0)
+            return out if np.ndim(t_a) or np.ndim(t_b) else out.item()  # tables are (1, 4) at scalar times
         return weight
 
     weights = EfficiencyWeights(*(make_weight(i) for i in range(4)))
@@ -178,23 +185,6 @@ def trivial_weights(problem: FitProblem) -> TrivialWeightsResult:
     )
 
 
-def _project_box_sum(v: np.ndarray, total: float) -> np.ndarray:
-    """Euclidean projection of v onto {a in [0,1]^4, sum a = total}."""
-    lo = float(v.min()) - 1.5
-    hi = float(v.max()) + 1.5
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if np.clip(v - mid, 0.0, 1.0).sum() > total:
-            lo = mid
-        else:
-            hi = mid
-    return np.clip(v - 0.5 * (lo + hi), 0.0, 1.0)
-
-
-def _gap_vector(p: np.ndarray, qm: np.ndarray, a: np.ndarray) -> np.ndarray:
-    return p @ a / 4.0 - qm
-
-
 def _objective_value(gaps: np.ndarray, objective: str) -> float:
     if objective == "match_qm":
         return float(np.max(np.abs(gaps)))
@@ -204,68 +194,41 @@ def _objective_value(gaps: np.ndarray, objective: str) -> float:
 def fit_constant_weights(problem: FitProblem) -> FitResult:
     """Best constant weights for the problem objective at the target efficiency.
 
-    Deterministic: 16 starts (the unit-box corners projected onto the
-    constraint set), pairwise-exchange coordinate descent with ternary line
-    search, convergence when a full pass improves the objective by less than
-    1e-12, hard cap of 1e5 objective evaluations.
+    Solves the linear program in (a1..a4, t): minimize t subject to
+    mean(a) = eta, a_i in [0, 1], t >= 0 and P a / 4 - QM <= t at every grid
+    point (plus QM - P a / 4 <= t for ``match_qm``), with one HiGHS call.
+    The rows are scaled by max |QM| so HiGHS sees O(1) coefficients.  The
+    solution is clipped to the box and its sum restored to 4 eta; the
+    reported objective is re-evaluated on the returned weights, and
+    ``iterations`` is the HiGHS iteration count.
     """
+    from scipy.optimize import linprog
+
     p, qm = problem.tables()
     total = 4.0 * problem.eta
-    objective = problem.objective
+    scale = float(np.max(np.abs(qm))) or 1.0
+    rows = np.hstack([p / (4.0 * scale), -np.ones((len(qm), 1))])
+    rhs = qm / scale
+    if problem.objective == "match_qm":
+        rows = np.vstack([rows, np.hstack([-rows[:, :4], rows[:, 4:]])])
+        rhs = np.concatenate([rhs, -rhs])
+    res = linprog(np.array([0.0, 0.0, 0.0, 0.0, 1.0]), A_ub=rows, b_ub=rhs,
+                  A_eq=np.array([[1.0, 1.0, 1.0, 1.0, 0.0]]), b_eq=[total],
+                  bounds=[(0.0, 1.0)] * 4 + [(0.0, None)], method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"weight-fit linear program failed (status {res.status}): {res.message}")
 
-    evals = 0
-
-    def f(a) -> float:
-        nonlocal evals
-        evals += 1
-        return _objective_value(_gap_vector(p, qm, a), objective)
-
-    def line_search(a: np.ndarray) -> np.ndarray:
-        # exchange moves a_i += d, a_j -= d keep the efficiency fixed
-        for i, j in _PAIRS:
-            d_lo = max(-a[i], a[j] - 1.0)
-            d_hi = min(1.0 - a[i], a[j])
-            if d_hi - d_lo < 1e-18:
-                continue
-            direction = np.zeros(4)
-            direction[i], direction[j] = 1.0, -1.0
-            lo, hi = d_lo, d_hi
-            for _ in range(_TERNARY_ITERS):
-                m1 = lo + (hi - lo) / 3.0
-                m2 = hi - (hi - lo) / 3.0
-                if f(a + direction * m1) <= f(a + direction * m2):
-                    hi = m2
-                else:
-                    lo = m1
-            d = 0.5 * (lo + hi)
-            a = a + direction * d
-        return a
-
-    starts = [np.array([(k >> b) & 1 for b in range(4)], dtype=float) for k in range(16)]
-    best_a: np.ndarray | None = None
-    best_f = np.inf
-    for corner in starts:
-        a = _project_box_sum(corner, total)
-        value = f(a)
-        while evals < _MAX_EVALS:
-            a = line_search(a)
-            new_value = f(a)
-            if value - new_value < _PASS_TOL:
-                value = min(value, new_value)
-                break
-            value = new_value
-        if value < best_f:
-            best_f, best_a = value, a.copy()
-        if evals >= _MAX_EVALS:
-            break
-
-    best_a = _project_box_sum(best_a, total)
-    best_f = _objective_value(_gap_vector(p, qm, best_a), objective)
+    a = np.clip(res.x[:4], 0.0, 1.0) + 0.0  # + 0.0 turns a -0.0 from HiGHS into 0.0
+    # put the rounding residual on the weight with the most room for it
+    residual = total - a.sum()
+    room = 1.0 - a if residual > 0.0 else a
+    j = int(np.argmax(room))
+    a[j] = min(max(a[j] + residual, 0.0), 1.0)
     return FitResult(
-        weights=EfficiencyWeights.constant(*best_a),
-        achieved_eta=float(best_a.mean()),
-        max_abs_gap=best_f,
-        iterations=evals,
+        weights=EfficiencyWeights.constant(*a),
+        achieved_eta=float(a.mean()),
+        max_abs_gap=_objective_value(p @ a / 4.0 - qm, problem.objective),
+        iterations=int(res.nit),
     )
 
 

@@ -97,10 +97,13 @@ def _blocks(config: SimConfig):
     """Yield (pairs, u_like, u_accept) arrays per fixed-size block."""
     n = int(config.n_events)
     n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-    children = np.random.SeedSequence(config.seed).spawn(n_blocks)
+    root = np.random.SeedSequence(config.seed)
     for b in range(n_blocks):
         m = min(BLOCK_SIZE, n - b * BLOCK_SIZE)
-        gen = np.random.Generator(np.random.Philox(children[b]))
+        # the b-th child that root.spawn would hand out, derived when the block starts
+        child = np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (b,),
+                                       pool_size=root.pool_size)
+        gen = np.random.Generator(np.random.Philox(child))
         pairs = gen.integers(0, 4, size=m)
         u_like = gen.random(m)
         u_accept = gen.random(m)

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mesonbell.cli import PRESETS, main
+from mesonbell.cli import _FMT, PRESETS, _write_csv, main
 from mesonbell.constants import KAON
+from mesonbell.fitting import CurveTable
 
 
 def run(capsys, *argv):
@@ -253,6 +254,7 @@ def test_fit_reports_and_beats_the_preset(capsys):
     assert float(values["max_gap"]) <= float(values["input_gap"])
     fitted = [float(x) for x in values["fitted_weights"].split(",")]
     assert len(fitted) == 4 and all(0.0 <= w <= 1.0 for w in fitted)
+    assert int(values["iterations"]) >= 0
 
 
 def test_fit_eta_one_returns_unit_weights(capsys):
@@ -305,6 +307,47 @@ def test_module_entry_points_run_the_cli(module, capsys):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
     assert "K_L semileptonic total" in proc.stdout
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["thresholds"], []),
+    (["curve", "--preset", "fig3"], []),
+    (["fit", "--preset", "fig3", "--eta", "0.3", "--grid", "0.2:5:20"], ["scipy.optimize"]),
+])
+def test_commands_import_only_the_scipy_they_need(argv, loaded):
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import contextlib, io, json, sys\n"
+            "from mesonbell.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    modules = json.loads(proc.stdout)
+    if not loaded:
+        assert modules == []
+    # scipy.optimize brings its own dependencies, but not the quadrature
+    assert all(name in modules for name in loaded)
+    assert not any(m.startswith("scipy.integrate") for m in modules)
+
+
+def test_csv_writer_matches_per_value_formatting(tmp_path):
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.5e-300, -2.5e300, 1 / 3])
+    rng = np.random.default_rng(3)
+    n = 24
+    cols = rng.normal(size=(n, 8)) * 10.0 ** rng.integers(-30, 30, size=(n, 8))
+    cols[:8, :] = special[:, None]
+    cols[8, :] = special
+    table = CurveTable(t_a=cols[:, 0], t_b=2 * cols[:, 0], qm=cols[:, 1], lrm=cols[:, 2],
+                       p=cols[:, 3:7], gap=cols[:, 7])
+    for unit in ("seconds", "gamma_s"):
+        out = tmp_path / f"{unit}.csv"
+        _write_csv(table, {"time_unit": unit, "params": KAON, "out": str(out)})
+        lines = ["t_a,qm,lrm,p1,p2,p3,p4,gap"]
+        for row in table.rows(time_scale=1.0 if unit == "seconds" else KAON.gamma_s):
+            lines.append(",".join(_FMT.format(v) for v in row))
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_mc_deterministic_report(capsys):

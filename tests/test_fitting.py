@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import linprog
 
-from mesonbell.constants import BMESON, KAON
+from mesonbell import fitting
+from mesonbell.constants import BMESON, KAON, species_params
 from mesonbell.fitting import (
+    OBJECTIVES,
     CurveTable,
     FitProblem,
     default_grid,
@@ -19,19 +23,73 @@ ZERO = RhoProfile.zero()
 SAT_UP = RhoProfile.saturate_upper_short()
 FIG3_WEIGHTS = (1.0, 0.13, 0.03, 0.04)
 
+# t_a ranges (units of 1/gamma_s, t_b = 2 t_a) on which each profile is admissible
+ADMISSIBLE_T_A = {
+    ("kaon", "zero"): (0.2, 5.0),
+    ("kaon", "saturate_upper_short"): (0.2, 5.0),
+    ("kaon", "saturate_lower_short"): (1.5, 5.0),
+    ("bmeson", "zero"): (0.2, 5.0),
+    ("bmeson", "saturate_upper_short"): (0.05, 1.0),
+    ("bmeson", "saturate_lower_short"): (2.2, 3.2),
+}
+
+
+def lp_solution(problem):
+    """The fit as a linear program in (a1..a4, t), solved by HiGHS.
+
+    Row k reads s_k (P_k a / 4 - QM_k) <= t with s_k = +1, plus the rows
+    with s_k = -1 for match_qm, divided by max |QM| (t in those units).
+    Unscaled, or at HiGHS's default 1e-7 feasibility tolerances, its primal
+    and dual solutions are off by up to ~4e-6 relative on the degenerate B
+    problems (P1 = P3, P2 = P4) and ~4e-8 on saturated ones, which would
+    loosen the dual bound below.  Returns (res, scale, s, P rows, QM rows).
+    """
+    p, qm = problem.tables()
+    n = len(qm)
+    scale = float(np.max(np.abs(qm)))
+    signs = np.repeat([1.0, -1.0], n) if problem.objective == "match_qm" else np.ones(n)
+    p_rows, qm_rows = np.tile(p, (len(signs) // n, 1)), np.tile(qm, len(signs) // n)
+    a_ub = np.hstack([signs[:, None] * p_rows / (4.0 * scale), -np.ones((len(signs), 1))])
+    res = linprog(c=[0, 0, 0, 0, 1], A_ub=a_ub, b_ub=signs * qm_rows / scale,
+                  A_eq=[[1, 1, 1, 1, 0]], b_eq=[4.0 * problem.eta],
+                  bounds=[(0, 1)] * 4 + [(0, None)], method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10})
+    assert res.success
+    return res, scale, signs, p_rows, qm_rows
+
 
 def lp_optimum(problem):
     """Independent oracle: the max-norm fit is a linear program."""
-    p, qm = problem.tables()
-    n = len(qm)
-    a_ub = np.vstack([np.hstack([p / 4.0, -np.ones((n, 1))]),
-                      np.hstack([-p / 4.0, -np.ones((n, 1))])])
-    b_ub = np.hstack([qm, -qm])
-    res = linprog(c=[0, 0, 0, 0, 1], A_ub=a_ub, b_ub=b_ub,
-                  A_eq=[[1, 1, 1, 1, 0]], b_eq=[4.0 * problem.eta],
-                  bounds=[(0, 1)] * 4 + [(0, None)], method="highs")
-    assert res.success
-    return res.fun
+    res, scale, *_ = lp_solution(problem)
+    return res.fun * scale
+
+
+def dual_bound(problem):
+    """Weak-duality lower bound on the fit objective from the LP's row multipliers.
+
+    For any y >= 0 with sum y = 1 and any feasible a,
+    max_k s_k g_k(a) >= sum_k y_k s_k g_k(a) >= L(y), the minimum of that
+    linear function over {a in [0, 1]^4, sum a = 4 eta}.  The minimum is a
+    fractional knapsack (fill the smallest coefficients first), computed
+    exactly here, so the bound holds whatever solver supplied y.
+    """
+    res, _, signs, p_rows, qm_rows = lp_solution(problem)
+    y = np.maximum(-res.ineqlin.marginals, 0.0)
+    if y.sum() == 0.0:
+        return 0.0  # every objective is >= 0
+    ys = signs * y / y.sum()
+    coef, offset = ys @ p_rows / 4.0, ys @ qm_rows
+    a, budget = np.zeros(4), 4.0 * problem.eta
+    for i in np.argsort(coef):
+        a[i] = min(1.0, budget)
+        budget -= a[i]
+    bound = float(coef @ a - offset)
+    return max(0.0, bound) if problem.objective == "underbound_qm" else bound
+
+
+def assert_certified(problem, result):
+    bound = dual_bound(problem)
+    assert result.max_abs_gap <= bound * (1.0 + 1e-9) + 1e-15
 
 
 def test_default_grid():
@@ -170,6 +228,70 @@ def test_fit_underbound_objective():
     assert 0.0 <= result.max_abs_gap <= preset_excess
     weights = np.array(result.weights.as_tuple())
     assert abs(weights.mean() - 0.3) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(species=st.sampled_from(["kaon", "bmeson"]),
+       rho=st.sampled_from(["zero", "saturate_upper_short", "saturate_lower_short"]),
+       eta=st.floats(0.0, 1.0, exclude_min=True),
+       objective=st.sampled_from(OBJECTIVES))
+def test_fit_is_lp_optimal_by_the_dual_certificate(species, rho, eta, objective):
+    params = species_params(species)
+    lo, hi = ADMISSIBLE_T_A[(species, rho)]
+    t_a = np.linspace(lo, hi, 120) / params.gamma_s
+    problem = FitProblem(params, RhoProfile(rho), eta, t_a, 2.0 * t_a, objective)
+    result = fit_constant_weights(problem)
+    a = np.array(result.weights.as_tuple())
+    assert abs(a.mean() - eta) <= 1e-12 and abs(result.achieved_eta - eta) <= 1e-12
+    assert np.all((a >= 0.0) & (a <= 1.0))
+    p, qm = problem.tables()
+    gaps = p @ a / 4.0 - qm
+    value = np.max(np.abs(gaps)) if objective == "match_qm" else max(0.0, np.max(gaps))
+    assert result.max_abs_gap == pytest.approx(value, rel=1e-12, abs=1e-300)
+    assert_certified(problem, result)
+
+
+@pytest.mark.parametrize("eta", [0.5, 0.6, 0.7])
+def test_fit_reaches_the_optimum_where_descent_stopped_short(eta):
+    # multi-start coordinate descent stopped 0.18-0.47 % above the optimum
+    # here (5.673e-3 against 5.661e-3 at eta = 0.5)
+    problem = FitProblem.on_default_grid(KAON, ZERO, eta)
+    result = fit_constant_weights(problem)
+    assert_certified(problem, result)
+    if eta == 0.5:
+        assert result.max_abs_gap < 5.665e-3
+
+
+def test_trivial_weights_build_one_table_per_evaluation(monkeypatch):
+    problem = FitProblem.on_default_grid(BMESON, ZERO, 0.3)
+    result = trivial_weights(problem)
+
+    def alone(i):  # each weight building its own table
+        return lambda t_a, t_b: np.clip(
+            fitting._trivial_ratio_table(BMESON, ZERO, t_a, t_b)[0][..., i], 0.0, 1.0)
+
+    reference = EfficiencyWeights(*(alone(i) for i in range(4)))
+    tables = fitting._tables
+    builds = []
+
+    def check(t_a, t_b):
+        monkeypatch.setattr(fitting, "_tables", lambda *args: builds.append(args) or tables(*args))
+        builds.clear()
+        table = evaluate_gap(BMESON, ZERO, result.weights, t_a, t_b)
+        assert len(builds) == 2
+        monkeypatch.setattr(fitting, "_tables", tables)
+        expected = evaluate_gap(BMESON, ZERO, reference, t_a, t_b)
+        assert np.array_equal(table.gap, expected.gap)
+        assert np.array_equal(table.lrm, expected.lrm)
+
+    t_a, t_b = problem.grid_t_a.copy(), problem.grid_t_b.copy()
+    check(t_a, t_b)
+    check(t_a[50:90], t_b[50:90])
+    check(t_a, t_b)
+    t_a *= 1.1  # same array objects, new times
+    check(t_a, t_b)
+    # scalar times give a float
+    assert result.weights.a3(t_a[60], t_b[60]) == reference.a3(t_a[60], t_b[60])[0]
 
 
 def test_evaluate_gap_table():

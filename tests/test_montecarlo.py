@@ -3,8 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mesonbell.constants import BMESON, KAON
-from mesonbell.lrm import EfficiencyWeights, RhoProfile, lrm_like_joint
+from mesonbell.lrm import EfficiencyWeights, RhoProfile, joint_probabilities, lrm_like_joint
 from mesonbell.montecarlo import (
+    BLOCK_SIZE,
     SimConfig,
     _bias_report,
     acceptance_bias_report,
@@ -137,3 +138,22 @@ def test_bmeson_configuration():
     result = simulate(config)
     analytic = lrm_like_joint(BMESON, ZERO, config.weights, 1 / g, 2 / g)
     assert abs(result.estimate - analytic) < 4.0 * result.stderr
+
+
+def test_block_streams_are_the_spawned_children():
+    # block b draws from the b-th child of SeedSequence(seed).spawn
+    config = make_config(weights=(1.0, 0.13, 0.03, 0.04), n_events=3 * BLOCK_SIZE + 1234, seed=9)
+    p = joint_probabilities(KAON, ZERO, config.t.t_a, config.t.t_b)
+    a = np.array(config.weights.as_tuple())
+    counts = np.zeros((4, 4), dtype=np.int64)
+    for b, child in enumerate(np.random.SeedSequence(9).spawn(4)):
+        m = min(BLOCK_SIZE, config.n_events - b * BLOCK_SIZE)
+        gen = np.random.Generator(np.random.Philox(child))
+        pairs = gen.integers(0, 4, size=m)
+        like = gen.random(m) < p[pairs]
+        acc = gen.random(m) < a[pairs]
+        for row, keep in enumerate((np.ones(m, dtype=bool), like, acc, like & acc)):
+            counts[row] += np.bincount(pairs[keep], minlength=4)
+    result = simulate(config)
+    assert np.array_equal(counts, np.array([result.pair_counts, result.like_counts,
+                                            result.accepted_counts, result.accepted_like_counts]))
