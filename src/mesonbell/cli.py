@@ -215,7 +215,9 @@ def _time_scale(scenario) -> float:
 
 
 def _write_csv(table, scenario) -> None:
-    cols = np.column_stack([table.t_a * _time_scale(scenario), table.qm, table.lrm, table.p, table.gap])
+    with np.errstate(over="ignore"):  # a time too large for the unit prints as inf
+        t_a = table.t_a * _time_scale(scenario)
+    cols = np.column_stack([t_a, table.qm, table.lrm, table.p, table.gap])
     # one %-format over the whole table; "%.11e" prints the same bytes as _FMT
     row = ",".join(["%.11e"] * cols.shape[1])
     text = "\n".join([",".join(table.columns)] + [row] * len(cols)) % tuple(cols.ravel().tolist()) + "\n"

@@ -244,20 +244,6 @@ class CurveTable:
     gap: np.ndarray         # signed lrm - qm
     columns = ("t_a", "qm", "lrm", "p1", "p2", "p3", "p4", "gap")
 
-    def rows(self, time_scale: float = 1.0) -> Iterator[tuple[float, ...]]:
-        """Yield CSV rows; times are multiplied by ``time_scale``."""
-        for k in range(self.t_a.size):
-            yield (
-                float(self.t_a[k]) * time_scale,
-                float(self.qm[k]),
-                float(self.lrm[k]),
-                float(self.p[k, 0]),
-                float(self.p[k, 1]),
-                float(self.p[k, 2]),
-                float(self.p[k, 3]),
-                float(self.gap[k]),
-            )
-
     def max_abs_gap(self) -> float:
         return _objective_value(self.gap, "match_qm")
 

@@ -117,17 +117,14 @@ def simulate(config: SimConfig) -> SimResult:
     weighted model prediction; the standard error is binomial.
     """
     p, a = _event_probabilities(config)
-    pair_counts = np.zeros(4, dtype=np.int64)
-    like_counts = np.zeros(4, dtype=np.int64)
-    accepted_counts = np.zeros(4, dtype=np.int64)
-    accepted_like = np.zeros(4, dtype=np.int64)
+    counts = np.zeros(16, dtype=np.int64)
     for pairs, u_like, u_accept in _blocks(config):
-        like = u_like < p[pairs]
-        acc = u_accept < a[pairs]
-        pair_counts += np.bincount(pairs, minlength=4)
-        like_counts += np.bincount(pairs[like], minlength=4)
-        accepted_counts += np.bincount(pairs[acc], minlength=4)
-        accepted_like += np.bincount(pairs[like & acc], minlength=4)
+        counts += np.bincount(pairs * 4 + (u_like < p[pairs]) * 2 + (u_accept < a[pairs]), minlength=16)
+    counts = counts.reshape(4, 2, 2)    # [configuration, like-flavor, accepted]
+    pair_counts = counts.sum(axis=(1, 2))
+    like_counts = counts[:, 1].sum(axis=1)
+    accepted_counts = counts[:, :, 1].sum(axis=1)
+    accepted_like = counts[:, 1, 1]
     n = int(config.n_events)
     estimate = float(accepted_like.sum()) / n
     stderr = float(np.sqrt(estimate * (1.0 - estimate) / n))

@@ -17,11 +17,22 @@ symmetry of the state) is
 and the unlike-flavor joint is the same expression with the interference term
 flipped in sign; that sign is the only choice for which the four outcomes of
 an undecayed pair sum to one, and it also follows from the amplitude-level
-calculation.  For equal widths gamma_s = gamma_l = gamma this collapses to
+calculation.
 
-    P_like(ta, tb) = (1/4) exp(-gamma (ta + tb)) [1 - cos(delta_m (ta - tb))]
+Written this way each joint is a difference of nearly equal terms close to
+the diagonal ta = tb.  Completing the square turns it into a sum of two
+non-negative terms, which is how both joints are evaluated: with
+t_lo, t_hi = min, max(ta, tb), dt = t_hi - t_lo and G = (gamma_s + gamma_l)/2,
 
-and the unlike case carries [1 + cos(...)].
+    P_like   = (1/8) e^{-(gamma_s t_lo + gamma_l t_hi)} expm1(-(gamma_s - gamma_l) dt/2)^2
+               + (1/2) e^{-G (ta + tb)} sin^2(delta_m dt / 2)
+    P_unlike = the same with cos^2 in place of sin^2.
+
+There is no cancellation, so both joints are >= 0 to full relative
+precision, the like joint is exactly 0 at ta = tb, and both are symmetric
+bit for bit under ta <-> tb.  No factor grows with time, so late times
+underflow to 0 instead of overflowing.  Equal widths need no separate form:
+the first term vanishes and P_like = (1/2) e^{-gamma (ta + tb)} sin^2(...).
 
 All functions are pure and accept scalars or numpy arrays for the times.
 CP violation in the weak interactions is neglected throughout.
@@ -101,41 +112,35 @@ class TimePair:
 def _check_times(*times) -> None:
     for t in times:
         arr = np.asarray(t, dtype=float)
-        if np.any(~np.isfinite(arr)) or np.any(arr < 0.0):
+        # a nan propagates through min, and the comparison then fails
+        if arr.size and not (arr.min() >= 0.0 and arr.max() < np.inf):
             raise ValueError("proper times must be finite and non-negative")
 
 
-def _joint_general(gamma_s, gamma_l, delta_m, t_a, t_b, sign):
-    """(1/8)[e^{-(gs ta + gl tb)} + e^{-(gl ta + gs tb)} + sign*2 e^{-(gs+gl)(ta+tb)/2} cos(dm (ta-tb))]."""
-    direct = np.exp(-(gamma_s * t_a + gamma_l * t_b)) + np.exp(-(gamma_l * t_a + gamma_s * t_b))
-    interference = 2.0 * np.exp(-0.5 * (gamma_s + gamma_l) * (t_a + t_b)) * np.cos(delta_m * (t_a - t_b))
-    return 0.125 * (direct + sign * interference)
-
-
-def _joint_equal_width(gamma, delta_m, t_a, t_b, sign):
-    """(1/4) e^{-gamma (ta+tb)} [1 + sign*(-1)*... ]; sign=-1 gives the like-flavor form."""
-    return 0.25 * np.exp(-gamma * (t_a + t_b)) * (1.0 + sign * np.cos(delta_m * (t_a - t_b)))
-
-
-def _joint(params: OscillationParams, t_a, t_b, sign):
+def _joints(params: OscillationParams, t_a, t_b):
+    """(like, unlike) joints in the sum-of-squares form of the module docstring."""
     _check_times(t_a, t_b)
-    if params.equal_widths:
-        return _joint_equal_width(params.gamma_s, params.delta_m, t_a, t_b, sign)
-    return _joint_general(params.gamma_s, params.gamma_l, params.delta_m, t_a, t_b, sign)
+    gs, gl = params.gamma_s, params.gamma_l
+    t_lo, t_hi = np.minimum(t_a, t_b), np.maximum(t_a, t_b)
+    dt = t_hi - t_lo
+    width = 0.125 * np.exp(-(gs * t_lo + gl * t_hi)) * np.expm1(-0.5 * (gs - gl) * dt) ** 2
+    mixing = 0.5 * np.exp(-0.5 * (gs + gl) * (t_lo + t_hi))
+    phase = 0.5 * params.delta_m * dt
+    return width + mixing * np.sin(phase) ** 2, width + mixing * np.cos(phase) ** 2
 
 
 def qm_like_joint(params: OscillationParams, t_a, t_b):
     """Probability of tagging the same flavor on both sides at (t_a, t_b).
 
-    Vanishes at t_a = t_b: the antisymmetric state is perfectly
+    Exactly 0.0 at t_a = t_b: the antisymmetric state is perfectly
     anti-correlated at equal proper times.
     """
-    return _joint(params, t_a, t_b, -1.0)
+    return _joints(params, t_a, t_b)[0]
 
 
 def qm_unlike_joint(params: OscillationParams, t_a, t_b):
     """Probability of tagging opposite flavors at (t_a, t_b)."""
-    return _joint(params, t_a, t_b, +1.0)
+    return _joints(params, t_a, t_b)[1]
 
 
 def qm_flavor_table(params: OscillationParams, t_a: float, t_b: float) -> dict[FlavorOutcome, float]:
@@ -144,8 +149,7 @@ def qm_flavor_table(params: OscillationParams, t_a: float, t_b: float) -> dict[F
     The entries sum to (1/2)[E_S(ta) E_L(tb) + E_L(ta) E_S(tb)], the
     probability that both mesons are still undecayed enough to be tagged.
     """
-    like = float(qm_like_joint(params, t_a, t_b))
-    unlike = float(qm_unlike_joint(params, t_a, t_b))
+    like, unlike = map(float, _joints(params, t_a, t_b))
     p, a = Flavor.PARTICLE, Flavor.ANTIPARTICLE
     return {
         FlavorOutcome(a, a): like,

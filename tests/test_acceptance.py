@@ -21,7 +21,6 @@ from numpy.testing import assert_allclose
 
 import mesonbell as mb
 from mesonbell.lrm import _q
-from mesonbell.quantum import _joint_equal_width, _joint_general
 
 KAON = mb.KAON
 BMESON = mb.BMESON
@@ -205,10 +204,10 @@ def test_criterion_07_bmeson_consistency_and_integrated_ratio():
     u = np.linspace(0.1, 4.0, 100)
     t_a, t_b = u / g, 2 * u / g
     worst_path = 0.0
-    for sign in (-1.0, +1.0):
-        general = _joint_general(g, g, dm, t_a, t_b, sign)
-        special = _joint_equal_width(g, dm, t_a, t_b, sign)
-        worst_path = max(worst_path, float(np.max(np.abs(general / special - 1.0))))
+    for joint, sign in ((mb.qm_like_joint, -1.0), (mb.qm_unlike_joint, +1.0)):
+        kernel = joint(BMESON, t_a, t_b)
+        special = 0.25 * np.exp(-g * (t_a + t_b)) * (1.0 + sign * np.cos(dm * (t_a - t_b)))
+        worst_path = max(worst_path, float(np.max(np.abs(kernel / special - 1.0))))
         q_g = _q(BMESON, t_a, sign)
         q_e = 0.5 * (1.0 + sign * np.cos(dm * t_a))  # equal widths: unit prefactor
         worst_path = max(worst_path, float(np.max(np.abs(q_g / q_e - 1.0))))

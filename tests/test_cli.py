@@ -345,8 +345,10 @@ def test_csv_writer_matches_per_value_formatting(tmp_path):
         out = tmp_path / f"{unit}.csv"
         _write_csv(table, {"time_unit": unit, "params": KAON, "out": str(out)})
         lines = ["t_a,qm,lrm,p1,p2,p3,p4,gap"]
-        for row in table.rows(time_scale=1.0 if unit == "seconds" else KAON.gamma_s):
-            lines.append(",".join(_FMT.format(v) for v in row))
+        scale = 1.0 if unit == "seconds" else KAON.gamma_s
+        for k in range(n):
+            row = (float(table.t_a[k]) * scale, table.qm[k], table.lrm[k], *table.p[k], table.gap[k])
+            lines.append(",".join(_FMT.format(float(v)) for v in row))
         assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 

@@ -167,6 +167,18 @@ def test_trivial_weights_zero_support_rescaling():
     assert np.max(np.abs(table.gap)) < 1e-12
 
 
+def test_trivial_ratios_are_non_negative_near_the_diagonal():
+    # t_b = t_a (1 + delta), delta log-uniform in [1e-12, 1e-1], where the
+    # like-flavor QM joint is tiny but every P_i is still a probability
+    rng = np.random.default_rng(2)
+    t_a = rng.uniform(0.0, 3.0, 2000) / KAON.gamma_s
+    t_b = t_a * (1.0 + 10.0 ** rng.uniform(-12.0, -1.0, 2000))
+    problem = FitProblem(KAON, ZERO, 0.5, t_a, t_b)
+    p, _ = problem.tables()
+    assert np.all(p >= 0.0)
+    assert np.all(trivial_weights(problem).raw_ratios >= 0.0)
+
+
 def test_trivial_weights_pointwise_eta_reported():
     problem = FitProblem.on_default_grid(BMESON, ZERO, 0.3)
     result = trivial_weights(problem)
@@ -301,10 +313,9 @@ def test_evaluate_gap_table():
     assert np.all(table.lrm == 0.0)
     assert_allclose(table.gap, -table.qm, rtol=1e-15)
     assert table.p.shape == (10, 4)
-    rows = list(table.rows(time_scale=KAON.gamma_s))
-    assert len(rows) == 10
-    assert rows[0][0] == pytest.approx(0.2, rel=1e-12)
-    assert len(rows[0]) == len(CurveTable.columns)
+    assert table.t_a[0] * KAON.gamma_s == pytest.approx(0.2, rel=1e-12)
+    assert table.t_a.shape == table.qm.shape == table.lrm.shape == table.gap.shape == (10,)
+    assert len(CurveTable.columns) == 8
 
 
 def test_evaluate_gap_matches_direct_weighted_sum():

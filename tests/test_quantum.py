@@ -16,8 +16,6 @@ from mesonbell.quantum import (
     FlavorOutcome,
     QuadratureError,
     TimePair,
-    _joint_equal_width,
-    _joint_general,
     asymmetry,
     integrated_ratio,
     qm_flavor_table,
@@ -69,11 +67,13 @@ def test_frozen_reference_values():
     assert_allclose(qm_unlike_joint(KAON, 1 / g, 2 / g), 0.11222935158675074, rtol=1e-12)
 
 
-@pytest.mark.parametrize("params", SPECIES, ids=lambda p: p.species)
+@pytest.mark.parametrize("params", SPECIES + (OscillationParams("synthetic", 1e10, 1e4, 3e9),),
+                         ids=lambda p: p.species)
 def test_equal_times_anticorrelation(params):
     rng = np.random.default_rng(3)
-    t = rng.uniform(0.0, 10.0, 1000) / params.gamma_s
-    assert np.all(np.abs(qm_like_joint(params, t, t)) < 1e-12)
+    t = np.concatenate([[0.0], rng.uniform(0.0, 10.0, 1000), [1e3]]) / params.gamma_s
+    assert np.all(qm_like_joint(params, t, t) == 0.0)
+    assert qm_like_joint(params, t[7], t[7]) == 0.0
 
 
 def test_bmeson_closed_forms():
@@ -140,15 +140,72 @@ def test_flavor_table_at_production():
         assert value == (0.0 if outcome.like else 0.5)
 
 
-def test_equal_width_path_matches_general_path():
+def test_equal_widths_match_the_cosine_form():
     # grid stays clear of the interference zeros, where any relative
-    # comparison only measures cancellation noise
-    g, dm = 0.646e12, 0.472e12
+    # comparison only measures cancellation noise in the oracle
+    g, dm = BMESON.gamma_s, BMESON.delta_m
     u = np.linspace(0.1, 4.0, 100)
     t_a, t_b = u / g, 2 * u / g
-    for sign in (-1.0, +1.0):
-        assert_allclose(_joint_general(g, g, dm, t_a, t_b, sign),
-                        _joint_equal_width(g, dm, t_a, t_b, sign), rtol=1e-12)
+    for joint, sign in ((qm_like_joint, -1.0), (qm_unlike_joint, +1.0)):
+        assert_allclose(joint(BMESON, t_a, t_b),
+                        0.25 * np.exp(-g * (t_a + t_b)) * (1.0 + sign * np.cos(dm * (t_a - t_b))),
+                        rtol=1e-12)
+
+
+# kaon, B and random widths: gamma_l / gamma_s log-uniform down to 1e-6, with
+# equal widths and delta_m = 0 included
+random_params = st.builds(
+    lambda gs, ratio, x: OscillationParams("synthetic", gamma_s=gs, gamma_l=gs * ratio, delta_m=gs * x),
+    st.floats(1e6, 1e14),
+    st.one_of(st.just(1.0), st.floats(-6.0, 0.0).map(lambda e: 10.0 ** e)),
+    st.one_of(st.just(0.0), st.floats(-3.0, 2.0).map(lambda e: 10.0 ** e)),
+)
+any_params = st.one_of(st.sampled_from(SPECIES), random_params)
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=any_params,
+       u=st.lists(st.tuples(st.floats(0.0, 50.0), st.floats(0.0, 50.0)), min_size=1, max_size=20))
+def test_joints_are_finite_non_negative_and_swap_symmetric(params, u):
+    t = np.array(u) / params.gamma_s
+    for joint in (qm_like_joint, qm_unlike_joint):
+        value = joint(params, t[:, 0], t[:, 1])
+        assert np.all(np.isfinite(value)) and np.all(value >= 0.0)
+        assert np.array_equal(value, joint(params, t[:, 1], t[:, 0]))
+
+
+def mp_joint(params, t_a, t_b, sign):
+    """The joint from the (1/8)[direct + sign * interference] form at 50 digits."""
+    import mpmath as mp
+    with mp.workdps(50):
+        t_a, t_b = mp.mpf(t_a), mp.mpf(t_b)
+        gs, gl, dm = mp.mpf(params.gamma_s), mp.mpf(params.gamma_l), mp.mpf(params.delta_m)
+        direct = mp.exp(-(gs * t_a + gl * t_b)) + mp.exp(-(gl * t_a + gs * t_b))
+        interference = 2 * mp.exp(-(gs + gl) * (t_a + t_b) / 2) * mp.cos(dm * (t_a - t_b))
+        return (direct + sign * interference) / 8
+
+
+@pytest.mark.parametrize("params", SPECIES, ids=lambda p: p.species)
+def test_near_diagonal_joints_match_mpmath(params):
+    # t_b = t_a (1 + delta), delta log-uniform in [1e-12, 1e-1]: the direct
+    # and interference terms agree to up to 12 digits here
+    rng = np.random.default_rng(5)
+    t_a = rng.uniform(0.0, 10.0, 200) / params.gamma_s
+    t_b = t_a * (1.0 + 10.0 ** rng.uniform(-12.0, -1.0, 200))
+    for joint, sign in ((qm_like_joint, -1), (qm_unlike_joint, +1)):
+        values = joint(params, t_a, t_b)
+        for value, a, b in zip(values, t_a, t_b):
+            exact = mp_joint(params, a, b, sign)
+            assert abs(value - exact) <= 1e-13 * abs(exact)
+
+
+@pytest.mark.parametrize("params", SPECIES, ids=lambda p: p.species)
+def test_joints_stay_finite_at_late_times(params):
+    t_b = np.geomspace(1e-3, 1e4, 300) / params.gamma_l
+    for t_a in (np.zeros_like(t_b), 0.5 * t_b):
+        for joint in (qm_like_joint, qm_unlike_joint):
+            value = joint(params, t_a, t_b)
+            assert np.all(np.isfinite(value)) and np.all(value >= 0.0)
 
 
 def test_asymmetry_limits():
@@ -270,3 +327,6 @@ def test_negative_times_rejected():
         qm_like_joint(KAON, -1e-12, 1e-12)
     with pytest.raises(ValueError):
         qm_unlike_joint(KAON, 1e-12, float("inf"))
+    for bad in (np.array([1e-12, np.nan]), np.array([-np.inf, 1e-12])):
+        with pytest.raises(ValueError):
+            qm_like_joint(KAON, bad, np.full(2, 1e-12))
