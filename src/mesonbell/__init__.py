@@ -32,13 +32,10 @@ from .lrm import (
     RhoProfile,
     TimeOrderingError,
     WeightRangeError,
-    joint_p,
     joint_probabilities,
     lrm_like_joint,
     p21_conditional,
-    p21_initial,
     p43_conditional,
-    p43_initial,
     q_minus,
     q_plus,
     rho_bounds,
@@ -92,8 +89,7 @@ __all__ = [
     "RhoProfile", "EfficiencyWeights",
     "InadmissibleRhoError", "TimeOrderingError", "WeightRangeError",
     "survival", "q_plus", "q_minus", "rho_bounds",
-    "p21_initial", "p43_initial", "p21_conditional", "p43_conditional",
-    "joint_p", "joint_probabilities", "lrm_like_joint",
+    "p21_conditional", "p43_conditional", "joint_probabilities", "lrm_like_joint",
     # fitting
     "FitProblem", "FitResult", "TrivialWeightsResult", "CurveTable",
     "default_grid", "trivial_weights", "fit_constant_weights", "evaluate_gap",

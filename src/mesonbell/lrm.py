@@ -55,8 +55,10 @@ Validity note: the increment form only represents probabilities where the
 flip fractions are non-decreasing.  Once the cos(delta_m t) oscillation
 outruns the decay envelope (near delta_m t ~ pi with kaon parameters, i.e.
 gamma_s t beyond ~5) the fractions turn over and the conditionals of this
-simplified model go negative.  No clamping is applied: values are returned
-as computed, and callers probing the turnover region will see them.
+simplified model go negative.  No clamping and no absolute floor is
+applied: exact zeros (equal times, saturated profiles) come from the
+flip-fraction form itself, and tiny or negative values are returned as
+computed, so callers probing the turnover region or late times see them.
 
 Detector acceptance enters through four weights a1..a4 in [0, 1], one per
 initial hidden configuration.  The observed like-flavor rate is then
@@ -95,18 +97,11 @@ __all__ = [
     "q_plus",
     "q_minus",
     "rho_bounds",
-    "p21_initial",
-    "p43_initial",
     "p21_conditional",
     "p43_conditional",
-    "joint_p",
     "joint_probabilities",
     "lrm_like_joint",
 ]
-
-# Cancellation residue below this magnitude is reported as exactly zero, so
-# saturated-profile identities hold exactly.
-ZERO_SNAP = 1e-15
 
 # Slack for the admissibility comparison, in flip-fraction units.
 _ADMISSIBLE_TOL = 1e-12
@@ -312,35 +307,19 @@ class RhoProfile:
         return self._check_fractions(params, t)
 
 
-def p21_initial(params: OscillationParams, rho: RhoProfile, t):
-    """Probability that a fresh short-lived branch has flipped flavor by t."""
-    w2, _ = rho.checked_fractions(params, t)
-    return _snap(survival(params, "short", t) * w2)
-
-
-def p43_initial(params: OscillationParams, rho: RhoProfile, t):
-    """Probability that a fresh long-lived branch has flipped flavor by t."""
-    _, w4 = rho.checked_fractions(params, t)
-    return _snap(survival(params, "long", t) * w4)
-
-
 def _require_ordered(t_a, t_b) -> None:
     _check_times(t_a, t_b)
     if np.any(np.asarray(t_b, dtype=float) < np.asarray(t_a, dtype=float)):
         raise TimeOrderingError("conditional flips require t_a <= t_b")
 
 
-def _snap(x):
-    """Report cancellation residue within ZERO_SNAP of zero as exactly 0."""
-    x = np.asarray(x, dtype=float)
-    out = np.where(np.abs(x) < ZERO_SNAP, 0.0, x)
-    return out if out.ndim else float(out)
-
-
 def _increments(params: OscillationParams, rho: RhoProfile, t_a, t_b):
-    """Flip fractions (w2, w4) at t_a and the flips (p21, p43) within (t_a, t_b]."""
-    w2, w4 = rho.checked_fractions(params, t_a)
-    w2_b, w4_b = rho.checked_fractions(params, t_b)
+    """Flip fractions (w2, w4) at t_a and the flips (p21, p43) within (t_a, t_b].
+
+    The callers have already checked the times.
+    """
+    w2, w4 = rho._check_fractions(params, t_a)
+    w2_b, w4_b = rho._check_fractions(params, t_b)
     dt = np.asarray(t_b, dtype=float) - np.asarray(t_a, dtype=float)
     return (w2, w4, np.exp(-params.gamma_s * dt) * (w2_b - w2),
             np.exp(-params.gamma_l * dt) * (w4_b - w4))
@@ -353,13 +332,15 @@ def p21_conditional(params: OscillationParams, rho: RhoProfile, t_a, t_b):
     the simplified model (see module docstring); they are not clamped.
     """
     _require_ordered(t_a, t_b)
-    return _snap(_increments(params, rho, t_a, t_b)[2])
+    out = _increments(params, rho, t_a, t_b)[2]
+    return out if out.ndim else float(out)
 
 
 def p43_conditional(params: OscillationParams, rho: RhoProfile, t_a, t_b):
     """Long-branch flip probability within (t_a, t_b], survival included."""
     _require_ordered(t_a, t_b)
-    return _snap(_increments(params, rho, t_a, t_b)[3])
+    out = _increments(params, rho, t_a, t_b)[3]
+    return out if out.ndim else float(out)
 
 
 def joint_probabilities(params: OscillationParams, rho: RhoProfile, t_a, t_b):
@@ -383,21 +364,13 @@ def joint_probabilities(params: OscillationParams, rho: RhoProfile, t_a, t_b):
             first * (1.0 - w4) * c21,
         ],
         axis=-1,
-    )
-    return _snap(_relabel(stacked, swapped))
+    ) + 0.0  # + 0.0 turns the -0.0 of first * 0.0 * (negative flip) into 0.0
+    return _relabel(stacked, swapped)
 
 
 def _relabel(x, swapped):
     """Reverse the configuration axis of x on the rows where t_a > t_b."""
     return np.where(swapped[..., None], x[..., ::-1], x) if np.any(swapped) else x
-
-
-def joint_p(params: OscillationParams, rho: RhoProfile, index: int, t_a, t_b):
-    """P_index for one initial configuration, index in 1..4."""
-    if index not in (1, 2, 3, 4):
-        raise ValueError(f"initial-pair index must be 1..4, got {index!r}")
-    out = joint_probabilities(params, rho, t_a, t_b)[..., index - 1]
-    return out if np.ndim(out) else float(out)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ bit-reproducible for a given seed regardless of how blocks are scheduled.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,16 +111,25 @@ def _blocks(config: SimConfig):
         yield pairs, u_like, u_accept
 
 
+def _events(config: SimConfig):
+    """(pairs, like, accepted) arrays per block, the one copy of the per-event rule.
+
+    The probabilities are checked here, before the first block is drawn.
+    """
+    p, a = _event_probabilities(config)
+    return ((pairs, u_like < p[pairs], u_accept < a[pairs])
+            for pairs, u_like, u_accept in _blocks(config))
+
+
 def simulate(config: SimConfig) -> SimResult:
     """Monte-Carlo estimate of the accepted like-flavor rate.
 
     The estimator (accepted and like) / n_events is unbiased for the
     weighted model prediction; the standard error is binomial.
     """
-    p, a = _event_probabilities(config)
     counts = np.zeros(16, dtype=np.int64)
-    for pairs, u_like, u_accept in _blocks(config):
-        counts += np.bincount(pairs * 4 + (u_like < p[pairs]) * 2 + (u_accept < a[pairs]), minlength=16)
+    for pairs, like, accepted in _events(config):
+        counts += np.bincount(pairs * 4 + like * 2 + accepted, minlength=16)
     counts = counts.reshape(4, 2, 2)    # [configuration, like-flavor, accepted]
     pair_counts = counts.sum(axis=(1, 2))
     like_counts = counts[:, 1].sum(axis=1)
@@ -159,16 +169,6 @@ def _bias_report(result: SimResult) -> AcceptanceBiasReport:
 
 def first_events(config: SimConfig, limit: int = 16) -> tuple[EventRecord, ...]:
     """The first events of the stream as records, for inspection and tests."""
-    p, a = _event_probabilities(config)
-    records: list[EventRecord] = []
-    for pairs, u_like, u_accept in _blocks(config):
-        for k in range(len(pairs)):
-            i = int(pairs[k])
-            records.append(EventRecord(
-                initial_pair=i + 1,
-                like_flavor_outcome=bool(u_like[k] < p[i]),
-                accepted=bool(u_accept[k] < a[i]),
-            ))
-            if len(records) >= limit:
-                return tuple(records)
-    return tuple(records)
+    rows = (row for block in _events(config) for row in zip(*block))
+    return tuple(EventRecord(int(i) + 1, bool(like), bool(accepted))
+                 for i, like, accepted in itertools.islice(rows, limit))

@@ -143,6 +143,13 @@ def qm_unlike_joint(params: OscillationParams, t_a, t_b):
     return _joints(params, t_a, t_b)[1]
 
 
+# The quantum joints as bound at import: asymmetry and integrated_ratio
+# compare against these to take the one-kernel and closed-form paths, which
+# then hold even when a caller rebinds the module names (for instance to wrap
+# them with timers).
+_QM_JOINTS = (qm_like_joint, qm_unlike_joint)
+
+
 def qm_flavor_table(params: OscillationParams, t_a: float, t_b: float) -> dict[FlavorOutcome, float]:
     """All four joint tag probabilities at one time pair.
 
@@ -171,20 +178,17 @@ def asymmetry(
     Any joint-probability providers with the same signature may be supplied,
     so the identical observable can be evaluated for alternative models.
     """
-    like = np.asarray(like_joint(params, t_a, t_b), dtype=float)
-    unlike = np.asarray(unlike_joint(params, t_a, t_b), dtype=float)
+    if (like_joint, unlike_joint) == _QM_JOINTS:
+        joints = _joints(params, t_a, t_b)
+    else:
+        joints = like_joint(params, t_a, t_b), unlike_joint(params, t_a, t_b)
+    like, unlike = (np.asarray(j, dtype=float) for j in joints)
     if np.any((np.abs(like) < DENOMINATOR_FLOOR) & (np.abs(unlike) < DENOMINATOR_FLOOR)):
         raise ZeroDivisionError(
             f"asymmetry denominator degenerate: both joints below {DENOMINATOR_FLOOR:g}"
         )
     out = (like - unlike) / (like + unlike)
     return out if out.ndim else float(out)
-
-
-# The quantum joints as bound at import: the closed-form dispatch below
-# compares against these, so it holds even when a caller rebinds the module
-# names (for instance to wrap them with timers).
-_QM_JOINTS = (qm_like_joint, qm_unlike_joint)
 
 
 def integrated_ratio(
@@ -222,7 +226,8 @@ def integrated_ratio(
         # everything in units of gamma_s, so no square over- or underflows
         width_ratio = params.gamma_l / params.gamma_s
         x = params.delta_m / params.gamma_s
-        half_split = 0.5 * (1.0 - width_ratio)
+        # gamma_s - gamma_l is exact (Sterbenz) where 1 - width_ratio cancels
+        half_split = 0.5 * ((params.gamma_s - params.gamma_l) / params.gamma_s)
         numerator = half_split * half_split + x * x
         return numerator / (numerator + 2.0 * width_ratio)
 

@@ -60,6 +60,12 @@ def test_curve_output_is_byte_identical_across_runs(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_fig1_csv_has_no_negative_zero(capsys):
+    # the saturated profile gives P1 = first * 0.0 * (negative flip) past the turnover
+    code, out, _ = run(capsys, "curve", "--preset", "fig1", "--out", "-")
+    assert code == 0 and "-0.0" not in out
+
+
 def test_curve_stdout_and_zero_weights(capsys):
     code, out, _ = run(capsys, "curve", "--weights", "0,0,0,0", "--grid", "0.5:1.0:2")
     assert code == 0

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mesonbell.constants import BMESON, KAON, OscillationParams
+from mesonbell.fitting import FitProblem, default_grid, trivial_weights
 from mesonbell.lrm import (
     HIDDEN_STATES,
     INITIAL_PAIRS,
@@ -14,13 +15,10 @@ from mesonbell.lrm import (
     TimeOrderingError,
     WeightRangeError,
     _q,
-    joint_p,
     joint_probabilities,
     lrm_like_joint,
     p21_conditional,
-    p21_initial,
     p43_conditional,
-    p43_initial,
     q_minus,
     q_plus,
     rho_bounds,
@@ -32,6 +30,12 @@ G = KAON.gamma_s
 ZERO = RhoProfile.zero()
 SAT_UP = RhoProfile.saturate_upper_short()
 SAT_LO = RhoProfile.saturate_lower_short()
+
+
+def initial_flips(params, rho, t):
+    """p21(t|0) and p43(t|0): survival times the checked flip fractions."""
+    w2, w4 = rho.checked_fractions(params, t)
+    return survival(params, "short", t) * w2, survival(params, "long", t) * w4
 
 
 def test_hidden_state_table():
@@ -141,7 +145,7 @@ def test_saturating_profile_values():
     assert_allclose(SAT_UP.value(KAON, t),
                     survival(KAON, "short", t) * q_minus(KAON, t), rtol=1e-15)
     # no overflow far into the tail: the scaled fractions are analytic
-    assert p21_initial(KAON, SAT_UP, 500.0 / G) == 0.0
+    assert p21_conditional(KAON, SAT_UP, 0.0, 500.0 / G) == 0.0
 
 
 def test_saturate_lower_inadmissible_at_small_times():
@@ -186,7 +190,7 @@ def test_tabulated_overflow_guard_rejects_instead_of_overflowing():
     # fraction of e^{+gamma_s t} scale; it must reject, not overflow
     profile = RhoProfile.tabulated([(0.0, 0.0), (900 / G, 1e-3)])
     with pytest.raises(InadmissibleRhoError):
-        p21_initial(KAON, profile, 450.0 / G)
+        p21_conditional(KAON, profile, 0.0, 450.0 / G)
 
 
 def test_profile_construction_validation():
@@ -205,13 +209,15 @@ def test_initial_flip_probabilities():
     e_s = survival(KAON, "short", t)
     e_l = survival(KAON, "long", t)
     qm = q_minus(KAON, t)
-    assert_allclose(p21_initial(KAON, ZERO, t), e_s * qm, rtol=1e-14)
-    assert_allclose(p43_initial(KAON, ZERO, t), e_l * qm, rtol=1e-14)
+    # every admissible rho has w2(0) = w4(0) = 0, so the flips from
+    # production are the conditionals from t_a = 0
+    assert_allclose(p21_conditional(KAON, ZERO, 0.0, t), e_s * qm, rtol=1e-14)
+    assert_allclose(p43_conditional(KAON, ZERO, 0.0, t), e_l * qm, rtol=1e-14)
     rho = SAT_UP.value(KAON, t)
-    assert p21_initial(KAON, SAT_UP, t) == 0.0
-    assert_allclose(p43_initial(KAON, SAT_UP, t), e_l * qm + rho, rtol=1e-12)
-    assert p21_initial(KAON, ZERO, 0.0) == 0.0
-    assert p43_initial(KAON, ZERO, 0.0) == 0.0
+    assert p21_conditional(KAON, SAT_UP, 0.0, t) == 0.0
+    assert_allclose(p43_conditional(KAON, SAT_UP, 0.0, t), e_l * qm + rho, rtol=1e-12)
+    assert p21_conditional(KAON, ZERO, 0.0, 0.0) == 0.0
+    assert p43_conditional(KAON, ZERO, 0.0, 0.0) == 0.0
 
 
 def test_conditionals_vanish_at_equal_times():
@@ -222,8 +228,9 @@ def test_conditionals_vanish_at_equal_times():
 
 def test_conditional_from_production_equals_initial():
     t = 1.7 / G
-    assert_allclose(p21_conditional(KAON, ZERO, 0.0, t), p21_initial(KAON, ZERO, t), rtol=1e-12)
-    assert_allclose(p43_conditional(KAON, ZERO, 0.0, t), p43_initial(KAON, ZERO, t), rtol=1e-12)
+    p21, p43 = initial_flips(KAON, ZERO, t)
+    assert_allclose(p21_conditional(KAON, ZERO, 0.0, t), p21, rtol=1e-12)
+    assert_allclose(p43_conditional(KAON, ZERO, 0.0, t), p43, rtol=1e-12)
 
 
 def test_conditional_requires_time_order():
@@ -240,13 +247,13 @@ def test_conditional_matches_published_form():
     # cross-check the factored evaluation against the literal
     # E_S^{-1}(ta) [p21(tb|0) - p21(ta|0) E_S(tb-ta)] expression
     t_a, t_b = 0.8 / G, 2.1 / G
-    for rho, p_init, p_cond, gamma in (
-        (ZERO, p21_initial, p21_conditional, KAON.gamma_s),
-        (ZERO, p43_initial, p43_conditional, KAON.gamma_l),
-        (SAT_UP, p43_initial, p43_conditional, KAON.gamma_l),
+    for rho, branch, p_cond, gamma in (
+        (ZERO, 0, p21_conditional, KAON.gamma_s),
+        (ZERO, 1, p43_conditional, KAON.gamma_l),
+        (SAT_UP, 1, p43_conditional, KAON.gamma_l),
     ):
-        literal = (p_init(KAON, rho, t_b)
-                   - p_init(KAON, rho, t_a) * np.exp(-gamma * (t_b - t_a))) / np.exp(-gamma * t_a)
+        p_init = [initial_flips(KAON, rho, t)[branch] for t in (t_a, t_b)]
+        literal = (p_init[1] - p_init[0] * np.exp(-gamma * (t_b - t_a))) / np.exp(-gamma * t_a)
         assert_allclose(p_cond(KAON, rho, t_a, t_b), literal, rtol=1e-10)
 
 
@@ -269,14 +276,56 @@ def test_saturation_collapses_three_joints_exactly():
     t_a = 1 / G
     expected = (survival(KAON, "short", t_a) * survival(KAON, "long", t_a)
                 * p43_conditional(KAON, SAT_UP, t_a, 2 * t_a))
-    assert_allclose(joint_p(KAON, SAT_UP, 2, t_a, 2 * t_a), expected, rtol=1e-14)
+    assert_allclose(joint_probabilities(KAON, SAT_UP, t_a, 2 * t_a)[1], expected, rtol=1e-14)
 
 
-def test_joint_p_index_validation():
-    with pytest.raises(ValueError):
-        joint_p(KAON, ZERO, 0, 1 / G, 2 / G)
-    with pytest.raises(ValueError):
-        joint_p(KAON, ZERO, 5, 1 / G, 2 / G)
+def mp_joints_rho_zero(params, t_a, t_b):
+    """P1..P4 for rho = 0 (w2 = w4 = Q-) from the module-docstring formulas at 50 digits."""
+    import mpmath as mp
+    with mp.workdps(50):
+        gs, gl, dm = (mp.mpf(v) for v in (params.gamma_s, params.gamma_l, params.delta_m))
+        t_a, t_b = mp.mpf(t_a), mp.mpf(t_b)
+
+        def q_minus(t):
+            e_s, e_l = mp.exp(-gs * t), mp.exp(-gl * t)
+            return (1 - 2 * mp.sqrt(e_l * e_s) / (e_l + e_s) * mp.cos(dm * t)) / 2
+
+        w, step = q_minus(t_a), q_minus(t_b) - q_minus(t_a)
+        p21, p43 = mp.exp(-gs * (t_b - t_a)) * step, mp.exp(-gl * (t_b - t_a)) * step
+        first = mp.exp(-(gs + gl) * t_a)
+        return [float(first * w * p43), float(first * (1 - w) * p43),
+                float(first * w * p21), float(first * (1 - w) * p21)]
+
+
+@pytest.mark.parametrize("params", (KAON, BMESON), ids=lambda p: p.species)
+@pytest.mark.parametrize("u", (15.0, 18.0, 20.0, 30.0))
+def test_late_time_joints_are_returned_as_computed(params, u):
+    # every P_i here lies far below 1e-15, some are negative; none may read 0
+    t_a = u / params.gamma_s
+    p = joint_probabilities(params, ZERO, t_a, 2 * t_a)
+    assert np.all(p != 0.0)
+    # the kaon increment Q-(t_b) - Q-(t_a) is ~3e-7 of Q- at u = 30, so double
+    # precision carries ~1e-9 relative error into every P_i there
+    rtol = 1e-8 if (params is KAON and u == 30.0) else 1e-10
+    assert_allclose(p, mp_joints_rho_zero(params, t_a, 2 * t_a), rtol=rtol, atol=0.0)
+
+
+def test_dense_bmeson_rows_near_a_sign_change_match_mpmath():
+    # rows 85409..85411 of the fig4 curve on 0.2:5:100000, where P2 and P4
+    # pass through zero between -8.1e-16 and -4.4e-19
+    t_a, t_b = default_grid(BMESON, n=100000, hi=5.0)
+    t_a, t_b = t_a[85409:85412], t_b[85409:85412]
+    p = joint_probabilities(BMESON, ZERO, t_a, t_b)
+    exact = [mp_joints_rho_zero(BMESON, a, b) for a, b in zip(t_a, t_b)]
+    assert np.all(p[:, [1, 3]] < 0.0)
+    assert_allclose(p, exact, rtol=1e-4, atol=0.0)
+
+
+def test_trivial_weights_support_follows_the_exact_sign():
+    t_a, t_b = default_grid(BMESON, n=200, hi=20.0)
+    result = trivial_weights(FitProblem(BMESON, ZERO, 0.5, t_a, t_b))
+    exact = np.array([mp_joints_rho_zero(BMESON, a, b) for a, b in zip(t_a, t_b)])
+    assert np.array_equal(result.supported, exact > 0.0)
 
 
 def test_joints_vanish_at_equal_times():
@@ -337,7 +386,7 @@ def test_lrm_like_joint_weighted_sum():
 
 def test_lrm_unit_weights_saturated_equals_p2_quarter():
     t_a = 0.9 / G
-    p2 = joint_p(KAON, SAT_UP, 2, t_a, 2 * t_a)
+    p2 = joint_probabilities(KAON, SAT_UP, t_a, 2 * t_a)[1]
     assert lrm_like_joint(KAON, SAT_UP, EfficiencyWeights.uniform(1.0), t_a, 2 * t_a) == p2 / 4.0
 
 

@@ -114,6 +114,8 @@ def test_first_events_match_the_stream_counts():
         assert len(members) == result.pair_counts[i]
         assert sum(r.accepted for r in members) == result.accepted_counts[i]
         assert sum(r.like_flavor_outcome for r in members) == result.like_counts[i]
+    assert first_events(config, limit=5) == records[:5]
+    assert first_events(config, limit=0) == ()
 
 
 def test_time_dependent_weights_are_evaluated_at_the_config_times():

@@ -224,6 +224,27 @@ def test_asymmetry_accepts_providers():
     assert_allclose(value, 1.0 / 3.0, rtol=1e-14)
 
 
+def test_asymmetry_default_providers_match_separate_calls():
+    rng = np.random.default_rng(11)
+    for params in SPECIES:
+        t = rng.uniform(0.0, 6.0, size=(50, 2)) / params.gamma_s
+        assert np.array_equal(asymmetry(params, t[:, 0], t[:, 1]),
+                              asymmetry(params, t[:, 0], t[:, 1], *WRAPPED))
+
+
+def test_asymmetry_runs_the_kernel_once(monkeypatch):
+    calls = []
+    kernel = quantum._joints
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(quantum, "_joints", counted)
+    asymmetry(KAON, 1.0 / KAON.gamma_s, 2.0 / KAON.gamma_s)
+    assert len(calls) == 1
+
+
 def test_asymmetry_degenerate_denominator():
     t = 800.0 / BMESON.gamma_s  # both joints underflow to ~e^-1600
     with pytest.raises(ZeroDivisionError, match="degenerate"):
@@ -289,6 +310,17 @@ def test_integrated_ratio_closed_form_special_cases(monkeypatch):
     monkeypatch.setattr(quantum, "qm_like_joint", WRAPPED[0])
     monkeypatch.setattr(quantum, "qm_unlike_joint", WRAPPED[1])
     assert integrated_ratio(BMESON) == x * x / (2.0 + x * x)
+
+
+@pytest.mark.parametrize("split", (1e-10, 1e-7))
+def test_integrated_ratio_nearly_equal_widths_match_mpmath(split):
+    # gamma_s - gamma_l is exact here, while 1 - gamma_l / gamma_s would cancel
+    import mpmath as mp
+    params = OscillationParams("probe", gamma_s=1e10, gamma_l=1e10 * (1.0 - split), delta_m=0.0)
+    with mp.workdps(50):
+        half = (mp.mpf(params.gamma_s) - mp.mpf(params.gamma_l)) / 2
+        exact = half * half / (half * half + 2 * mp.mpf(params.gamma_s) * mp.mpf(params.gamma_l))
+    assert abs(integrated_ratio(params) - exact) <= 1e-14 * exact
 
 
 @settings(max_examples=300, deadline=None)
