@@ -301,11 +301,6 @@ class RhoProfile:
             )
         return w2, w4
 
-    def checked_fractions(self, params: OscillationParams, t):
-        """(w2, w4) flip fractions at t, admissibility enforced."""
-        _check_times(t)
-        return self._check_fractions(params, t)
-
 
 def _require_ordered(t_a, t_b) -> None:
     _check_times(t_a, t_b)

@@ -143,13 +143,6 @@ def qm_unlike_joint(params: OscillationParams, t_a, t_b):
     return _joints(params, t_a, t_b)[1]
 
 
-# The quantum joints as bound at import: asymmetry and integrated_ratio
-# compare against these to take the one-kernel and closed-form paths, which
-# then hold even when a caller rebinds the module names (for instance to wrap
-# them with timers).
-_QM_JOINTS = (qm_like_joint, qm_unlike_joint)
-
-
 def qm_flavor_table(params: OscillationParams, t_a: float, t_b: float) -> dict[FlavorOutcome, float]:
     """All four joint tag probabilities at one time pair.
 
@@ -178,17 +171,20 @@ def asymmetry(
     Any joint-probability providers with the same signature may be supplied,
     so the identical observable can be evaluated for alternative models.
     """
-    if (like_joint, unlike_joint) == _QM_JOINTS:
-        joints = _joints(params, t_a, t_b)
-    else:
-        joints = like_joint(params, t_a, t_b), unlike_joint(params, t_a, t_b)
-    like, unlike = (np.asarray(j, dtype=float) for j in joints)
+    like = np.asarray(like_joint(params, t_a, t_b), dtype=float)
+    unlike = np.asarray(unlike_joint(params, t_a, t_b), dtype=float)
     if np.any((np.abs(like) < DENOMINATOR_FLOOR) & (np.abs(unlike) < DENOMINATOR_FLOOR)):
         raise ZeroDivisionError(
             f"asymmetry denominator degenerate: both joints below {DENOMINATOR_FLOOR:g}"
         )
     out = (like - unlike) / (like + unlike)
     return out if out.ndim else float(out)
+
+
+# The quantum joints as bound at import: the closed-form dispatch below
+# compares against these, so it holds even when a caller rebinds the module
+# names (for instance to wrap them with timers).
+_QM_JOINTS = (qm_like_joint, qm_unlike_joint)
 
 
 def integrated_ratio(

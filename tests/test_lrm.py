@@ -33,9 +33,9 @@ SAT_LO = RhoProfile.saturate_lower_short()
 
 
 def initial_flips(params, rho, t):
-    """p21(t|0) and p43(t|0): survival times the checked flip fractions."""
-    w2, w4 = rho.checked_fractions(params, t)
-    return survival(params, "short", t) * w2, survival(params, "long", t) * w4
+    """p21(t|0) = E_S Q- - rho and p43(t|0) = E_L Q- + rho, the published form."""
+    qm, r = q_minus(params, t), rho.value(params, t)
+    return survival(params, "short", t) * qm - r, survival(params, "long", t) * qm + r
 
 
 def test_hidden_state_table():
@@ -96,8 +96,10 @@ def test_q_stays_finite_at_late_times():
 
 
 def test_zero_rho_admissible_at_late_times():
-    w2, w4 = RhoProfile.zero().checked_fractions(KAON, 1e-4)
-    assert np.isfinite(w2) and np.isfinite(w4)
+    # value() raises InadmissibleRhoError unless both flip fractions are in [0, 1]
+    assert RhoProfile.zero().value(KAON, 1e-4) == 0.0
+    assert np.isfinite(p21_conditional(KAON, ZERO, 0.0, 1e-4))
+    assert np.isfinite(p43_conditional(KAON, ZERO, 0.0, 1e-4))
 
 
 def test_q_general_matches_the_survival_ratio_form():

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mesonbell.constants import BMESON, KAON
+from mesonbell.fitting import default_grid
 from mesonbell.lrm import EfficiencyWeights, RhoProfile, joint_probabilities, lrm_like_joint
 from mesonbell.montecarlo import (
     BLOCK_SIZE,
@@ -116,6 +117,17 @@ def test_first_events_match_the_stream_counts():
         assert sum(r.like_flavor_outcome for r in members) == result.like_counts[i]
     assert first_events(config, limit=5) == records[:5]
     assert first_events(config, limit=0) == ()
+
+
+def test_tiny_negative_joints_are_outside_the_validity_domain():
+    # B on 0.2:20:200, row 114 (gamma_s t_a = 11.54): every P_i lies in
+    # (-1e-16, 0), returned as computed rather than rounded to 0
+    t_a, t_b = default_grid(BMESON, n=200, hi=20.0)
+    t = TimePair(float(t_a[114]), float(t_b[114]))
+    p = joint_probabilities(BMESON, ZERO, t.t_a, t.t_b)
+    assert np.all((p < 0.0) & (p > -1e-16))
+    with pytest.raises(ValueError, match="validity domain"):
+        simulate(make_config(params=BMESON, t=t, n_events=10))
 
 
 def test_time_dependent_weights_are_evaluated_at_the_config_times():

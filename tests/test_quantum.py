@@ -224,27 +224,6 @@ def test_asymmetry_accepts_providers():
     assert_allclose(value, 1.0 / 3.0, rtol=1e-14)
 
 
-def test_asymmetry_default_providers_match_separate_calls():
-    rng = np.random.default_rng(11)
-    for params in SPECIES:
-        t = rng.uniform(0.0, 6.0, size=(50, 2)) / params.gamma_s
-        assert np.array_equal(asymmetry(params, t[:, 0], t[:, 1]),
-                              asymmetry(params, t[:, 0], t[:, 1], *WRAPPED))
-
-
-def test_asymmetry_runs_the_kernel_once(monkeypatch):
-    calls = []
-    kernel = quantum._joints
-
-    def counted(*args):
-        calls.append(args)
-        return kernel(*args)
-
-    monkeypatch.setattr(quantum, "_joints", counted)
-    asymmetry(KAON, 1.0 / KAON.gamma_s, 2.0 / KAON.gamma_s)
-    assert len(calls) == 1
-
-
 def test_asymmetry_degenerate_denominator():
     t = 800.0 / BMESON.gamma_s  # both joints underflow to ~e^-1600
     with pytest.raises(ZeroDivisionError, match="degenerate"):
