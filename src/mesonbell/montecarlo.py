@@ -9,13 +9,19 @@ rates expose the sampling bias directly: with unequal weights the detected
 subsample no longer represents the produced ensemble.
 
 Randomness comes from the counter-based Philox generator, split into
-fixed-size blocks with independently seeded streams, so results are
-bit-reproducible for a given seed regardless of how blocks are scheduled.
+fixed-size blocks with independently seeded streams. The blocks run on up to
+min(CPUs, 8) threads, the calling thread included; each thread takes the next
+unclaimed block and sums integer counts over the blocks it ran, so the counts
+are bit-reproducible for a given seed and do not depend on the thread count or
+on which thread ran which block.
 """
 
 from __future__ import annotations
 
 import itertools
+import numbers
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +41,9 @@ __all__ = [
 ]
 
 BLOCK_SIZE = 1 << 16
+# threads simulate uses (the caller counts as one); numpy's Philox fill and
+# the per-block array work release the interpreter lock
+_WORKERS = min(os.cpu_count() or 1, 8)
 
 
 @dataclass(frozen=True)
@@ -44,11 +53,16 @@ class SimConfig:
     weights: EfficiencyWeights
     t: TimePair
     n_events: int
-    seed: int
+    seed: int | None            # None draws fresh entropy once per call
 
     def __post_init__(self) -> None:
-        if int(self.n_events) < 1:
-            raise ValueError("n_events must be >= 1")
+        def integer(value) -> bool:
+            return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+        if not integer(self.n_events) or self.n_events < 1:
+            raise ValueError("n_events must be an integer >= 1")
+        if self.seed is not None and (not integer(self.seed) or self.seed < 0):
+            raise ValueError("seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -94,31 +108,22 @@ def _event_probabilities(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     return p, a
 
 
-def _blocks(config: SimConfig):
-    """Yield (pairs, u_like, u_accept) arrays per fixed-size block."""
-    n = int(config.n_events)
-    n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-    root = np.random.SeedSequence(config.seed)
-    for b in range(n_blocks):
-        m = min(BLOCK_SIZE, n - b * BLOCK_SIZE)
-        # the b-th child that root.spawn would hand out, derived when the block starts
-        child = np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (b,),
-                                       pool_size=root.pool_size)
-        gen = np.random.Generator(np.random.Philox(child))
-        pairs = gen.integers(0, 4, size=m)
-        u_like = gen.random(m)
-        u_accept = gen.random(m)
-        yield pairs, u_like, u_accept
+def _block(config: SimConfig, p: np.ndarray, a: np.ndarray,
+           root: np.random.SeedSequence, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pairs, like, accepted) arrays of block b, the one copy of the per-event rule."""
+    m = min(BLOCK_SIZE, int(config.n_events) - b * BLOCK_SIZE)
+    # the b-th child that root.spawn would hand out, derived when the block starts
+    child = np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (b,),
+                                   pool_size=root.pool_size)
+    gen = np.random.Generator(np.random.Philox(child))
+    pairs = gen.integers(0, 4, size=m)
+    like = gen.random(m) < p[pairs]
+    accepted = gen.random(m) < a[pairs]
+    return pairs, like, accepted
 
 
-def _events(config: SimConfig):
-    """(pairs, like, accepted) arrays per block, the one copy of the per-event rule.
-
-    The probabilities are checked here, before the first block is drawn.
-    """
-    p, a = _event_probabilities(config)
-    return ((pairs, u_like < p[pairs], u_accept < a[pairs])
-            for pairs, u_like, u_accept in _blocks(config))
+def _n_blocks(config: SimConfig) -> int:
+    return -(-int(config.n_events) // BLOCK_SIZE)
 
 
 def simulate(config: SimConfig) -> SimResult:
@@ -127,10 +132,54 @@ def simulate(config: SimConfig) -> SimResult:
     The estimator (accepted and like) / n_events is unbiased for the
     weighted model prediction; the standard error is binomial.
     """
-    counts = np.zeros(16, dtype=np.int64)
-    for pairs, like, accepted in _events(config):
-        counts += np.bincount(pairs * 4 + like * 2 + accepted, minlength=16)
-    counts = counts.reshape(4, 2, 2)    # [configuration, like-flavor, accepted]
+    p, a = _event_probabilities(config)
+    root = np.random.SeedSequence(config.seed)
+    n_blocks = _n_blocks(config)
+    workers = min(_WORKERS, n_blocks)
+    shares = np.zeros((workers, 16), dtype=np.int64)
+    blocks, claim = itertools.count(), threading.Lock()
+    stop = threading.Event()
+    done = [threading.Event() for _ in range(workers)]
+    errors: list[BaseException] = []
+
+    def share(w: int) -> None:
+        # claims the next unclaimed block, so a thread slowed by a busy core
+        # runs fewer blocks; a failure anywhere stops every share
+        try:
+            while not stop.is_set():
+                with claim:
+                    b = next(blocks)
+                if b >= n_blocks:
+                    return
+                pairs, like, accepted = _block(config, p, a, root, b)
+                shares[w] += np.bincount(pairs * 4 + like * 2 + accepted, minlength=16)
+        except BaseException as exc:  # re-raised in the caller below
+            errors.append(exc)
+            stop.set()
+        finally:
+            done[w].set()
+
+    helpers: list[threading.Thread] = []
+    try:
+        for w in range(1, workers):
+            thread = threading.Thread(target=share, args=(w,))
+            thread.start()
+            helpers.append(thread)
+        share(0)
+        # not Thread.join: an interrupted join can mark a running thread as
+        # stopped (CPython 3.11), and the join below would then return at once
+        for event in done:
+            event.wait()
+    finally:
+        # helpers are still running here only if starting one failed or an
+        # interrupt arrived while waiting
+        stop.set()
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+    counts = shares.sum(axis=0).reshape(4, 2, 2)    # [configuration, like-flavor, accepted]
     pair_counts = counts.sum(axis=(1, 2))
     like_counts = counts[:, 1].sum(axis=1)
     accepted_counts = counts[:, :, 1].sum(axis=1)
@@ -169,6 +218,9 @@ def _bias_report(result: SimResult) -> AcceptanceBiasReport:
 
 def first_events(config: SimConfig, limit: int = 16) -> tuple[EventRecord, ...]:
     """The first events of the stream as records, for inspection and tests."""
-    rows = (row for block in _events(config) for row in zip(*block))
+    p, a = _event_probabilities(config)
+    root = np.random.SeedSequence(config.seed)
+    blocks = (_block(config, p, a, root, b) for b in range(_n_blocks(config)))
+    rows = (row for block in blocks for row in zip(*block))
     return tuple(EventRecord(int(i) + 1, bool(like), bool(accepted))
                  for i, like, accepted in itertools.islice(rows, limit))

@@ -319,6 +319,7 @@ def test_module_entry_points_run_the_cli(module, capsys):
     (["thresholds"], []),
     (["curve", "--preset", "fig3"], []),
     (["fit", "--preset", "fig3", "--eta", "0.3", "--grid", "0.2:5:20"], ["scipy.optimize"]),
+    (["mc", "--preset", "fig3", "--grid", "1:1:1", "--n-events", "200000"], []),
 ])
 def test_commands_import_only_the_scipy_they_need(argv, loaded):
     src = Path(__file__).resolve().parent.parent / "src"
@@ -326,12 +327,15 @@ def test_commands_import_only_the_scipy_they_need(argv, loaded):
             "from mesonbell.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert main({argv!r}) == 0\n"
-            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "                        if m.split('.')[0] in ('scipy', 'concurrent'))))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     modules = json.loads(proc.stdout)
     if not loaded:
+        # mc runs its threads without concurrent.futures, whose import costs ~15 ms;
+        # fit gets it from scipy.optimize, which imports it itself
         assert modules == []
     # scipy.optimize brings its own dependencies, but not the quadrature
     assert all(name in modules for name in loaded)
@@ -381,6 +385,14 @@ def test_mc_seed_changes_stream(capsys):
     _, out1, _ = run(capsys, *base, "--seed", "1")
     _, out2, _ = run(capsys, *base, "--seed", "2")
     assert out1 != out2
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--n-events", "0")])
+def test_mc_bad_seed_or_event_count_is_one_error_line(capsys, flag, value):
+    code, out, err = run(capsys, "mc", "--preset", "fig3", "--grid", "1:1:1", flag, value)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "must be" in err and "expected non-negative integer" not in err
 
 
 def test_mc_outside_validity_domain_fails_cleanly(capsys):

@@ -446,6 +446,34 @@ def test_lrm_like_joint_swap_symmetry_with_reversed_weights(params, rho, pairs, 
     assert np.array_equal(forward, lrm_like_joint(params, rho, w_rev, t_b, t_a))
 
 
+@settings(max_examples=200, deadline=None)
+@given(params=_SPECIES, rho=_PROFILES, u_a=st.floats(0.0, 8.0), du=st.floats(0.0, 8.0))
+def test_pair_sums_factor_into_the_conditional_flips(params, rho, u_a, du):
+    # P1 + P2 = E_S E_L(t_a) p43(t_b|t_a) and P3 + P4 = E_S E_L(t_a) p21(t_b|t_a)
+    t_a, t_b = u_a / params.gamma_s, (u_a + du) / params.gamma_s
+    try:
+        p = joint_probabilities(params, rho, t_a, t_b)
+    except InadmissibleRhoError:
+        return
+    decay = survival(params, "short", t_a) * survival(params, "long", t_a)
+    for pair, p_cond in ((p[:2], p43_conditional), (p[2:], p21_conditional)):
+        floor = 1e-15 * float(np.abs(pair).sum())
+        assert_allclose(pair.sum(), decay * p_cond(params, rho, t_a, t_b), rtol=1e-12, atol=floor)
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=_SPECIES,
+       u=st.lists(st.integers(1, 1000), min_size=1, max_size=8, unique=True).map(sorted),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=9, max_size=9))
+def test_tabulated_profiles_sampled_inside_the_bounds_are_admissible(params, u, fractions):
+    # knots at gamma_s t in (0, 10], each rho between its two bounds (ends included)
+    knot_t = np.concatenate([[0.0], 0.01 * np.asarray(u) / params.gamma_s])
+    lo, up = rho_bounds(params, knot_t)
+    values = lo + np.asarray(fractions[:len(knot_t)]) * (up - lo)
+    profile = RhoProfile.tabulated(list(zip(knot_t, values)))
+    assert_allclose(profile.value(params, knot_t), values, rtol=1e-15, atol=0.0)
+
+
 def test_trivial_pointwise_weights_reproduce_qm_at_a_feasible_point():
     # B mesons at u = 2 admit ratios QM/P_i <= 1 for all four configurations
     g = BMESON.gamma_s

@@ -1,7 +1,15 @@
+import signal
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from mesonbell import montecarlo
 from mesonbell.constants import BMESON, KAON
 from mesonbell.fitting import default_grid
 from mesonbell.lrm import EfficiencyWeights, RhoProfile, joint_probabilities, lrm_like_joint
@@ -100,8 +108,24 @@ def test_single_event_is_degenerate_but_fine():
 
 
 def test_n_events_validation():
-    with pytest.raises(ValueError):
-        make_config(n_events=0)
+    # 2.7 used to simulate 2 events, True 1 event
+    for n_events in (0, -5, 2.7, 1e6, True, "100", None, np.float64(3.0)):
+        with pytest.raises(ValueError, match="n_events must be an integer >= 1"):
+            make_config(n_events=n_events)
+
+
+def test_seed_validation():
+    # negative seeds used to fail only inside simulate, and True was seed 1
+    for seed in (-3, -1, True, False, 1.0, "7", [1, 2]):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            make_config(seed=seed)
+
+
+def test_numpy_integers_and_no_seed_are_accepted():
+    numpy_typed = simulate(make_config(n_events=np.int64(70_000), seed=np.uint32(5)))
+    plain = simulate(make_config(n_events=70_000, seed=5))
+    assert np.array_equal(result_counts(numpy_typed), result_counts(plain))
+    assert simulate(make_config(n_events=70_000, seed=None)).pair_counts.sum() == 70_000
 
 
 def test_first_events_match_the_stream_counts():
@@ -154,20 +178,200 @@ def test_bmeson_configuration():
     assert abs(result.estimate - analytic) < 4.0 * result.stderr
 
 
-def test_block_streams_are_the_spawned_children():
-    # block b draws from the b-th child of SeedSequence(seed).spawn
-    config = make_config(weights=(1.0, 0.13, 0.03, 0.04), n_events=3 * BLOCK_SIZE + 1234, seed=9)
-    p = joint_probabilities(KAON, ZERO, config.t.t_a, config.t.t_b)
+def reference_blocks(config, entropy):
+    """(pairs, like, accepted) per block; block b draws from the b-th child of
+    SeedSequence(entropy).spawn, in block order."""
+    p = joint_probabilities(config.params, config.rho, config.t.t_a, config.t.t_b)
     a = np.array(config.weights.as_tuple())
-    counts = np.zeros((4, 4), dtype=np.int64)
-    for b, child in enumerate(np.random.SeedSequence(9).spawn(4)):
+    n_blocks = -(-config.n_events // BLOCK_SIZE)
+    for b, child in enumerate(np.random.SeedSequence(entropy).spawn(n_blocks)):
         m = min(BLOCK_SIZE, config.n_events - b * BLOCK_SIZE)
         gen = np.random.Generator(np.random.Philox(child))
         pairs = gen.integers(0, 4, size=m)
         like = gen.random(m) < p[pairs]
         acc = gen.random(m) < a[pairs]
-        for row, keep in enumerate((np.ones(m, dtype=bool), like, acc, like & acc)):
+        yield pairs, like, acc
+
+
+def reference_counts(config, entropy):
+    """Counts rows (pairs, like, accepted, accepted-like) x configuration."""
+    counts = np.zeros((4, 4), dtype=np.int64)
+    for pairs, like, acc in reference_blocks(config, entropy):
+        for row, keep in enumerate((np.ones(len(pairs), dtype=bool), like, acc, like & acc)):
             counts[row] += np.bincount(pairs[keep], minlength=4)
+    return counts
+
+
+def result_counts(result):
+    return np.array([result.pair_counts, result.like_counts,
+                     result.accepted_counts, result.accepted_like_counts])
+
+
+_SPECIES = {"kaon": (KAON, (1.0, 0.13, 0.03, 0.04)), "bmeson": (BMESON, (0.52, 0.08, 0.52, 0.08))}
+
+
+@settings(max_examples=40, deadline=None)
+@given(species=st.sampled_from(sorted(_SPECIES)), seed=st.integers(0, 2**63),
+       n_events=st.sampled_from([1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1,
+                                 3 * BLOCK_SIZE + 1234]),
+       workers=st.sampled_from([1, 2, 3, 8]))
+def test_block_streams_are_the_spawned_children(species, seed, n_events, workers):
+    # whatever the thread count, the counts are those of the serial block stream
+    params, weights = _SPECIES[species]
+    config = make_config(weights=weights, n_events=n_events, seed=seed, params=params,
+                         t=TimePair(1 / params.gamma_s, 2 / params.gamma_s))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_WORKERS", workers)
+        result = simulate(config)
+    assert np.array_equal(result_counts(result), reference_counts(config, seed))
+
+
+def test_counts_survive_forced_thread_switching(monkeypatch):
+    # more threads than cores, switching as often as the interpreter allows
+    monkeypatch.setattr(montecarlo, "_WORKERS", 8)
+    config = make_config(n_events=20 * BLOCK_SIZE + 7, seed=11)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = simulate(config)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(result_counts(result), reference_counts(config, 11))
+
+
+def test_first_events_cross_the_block_boundary_in_stream_order():
+    config = make_config(weights=(1.0, 0.13, 0.03, 0.04), n_events=2 * BLOCK_SIZE, seed=9)
+    stream = [np.concatenate(column)[:BLOCK_SIZE + 10]
+              for column in zip(*reference_blocks(config, 9))]
+    expected = [(int(i) + 1, bool(like), bool(acc)) for i, like, acc in zip(*stream)]
+    records = first_events(config, limit=BLOCK_SIZE + 10)
+    assert [(r.initial_pair, r.like_flavor_outcome, r.accepted) for r in records] == expected
+
+
+def test_unseeded_runs_draw_entropy_once_per_call(monkeypatch):
+    roots = []
+    block = montecarlo._block
+
+    def recording_block(config, p, a, root, b):
+        roots.append(root)
+        return block(config, p, a, root, b)
+
+    monkeypatch.setattr(montecarlo, "_block", recording_block)
+    monkeypatch.setattr(montecarlo, "_WORKERS", 3)
+    config = make_config(n_events=3 * BLOCK_SIZE + 1234, seed=None)
     result = simulate(config)
-    assert np.array_equal(counts, np.array([result.pair_counts, result.like_counts,
-                                            result.accepted_counts, result.accepted_like_counts]))
+    assert len(roots) == 4 and all(root is roots[0] for root in roots)
+    assert np.array_equal(result_counts(result), reference_counts(config, roots[0].entropy))
+    first = roots[0]
+    roots.clear()
+    simulate(config)
+    assert len(roots) == 4 and all(root is roots[0] for root in roots)
+    assert roots[0].entropy != first.entropy
+
+
+def patch_failing_block(monkeypatch, workers, first, fails, exc):
+    """Make a block b >= first for which fails(b) holds raise exc; returns the blocks started.
+
+    Every other block from `first` on waits until the failure, then 20 ms more,
+    so a share that runs ahead cannot run up the count before the failure.
+    """
+    block = montecarlo._block
+    failed = threading.Event()
+    calls = []
+
+    def failing_block(config, p, a, root, b):
+        calls.append(b)
+        if b >= first:
+            if fails(b):
+                failed.set()
+                raise exc
+            failed.wait(timeout=10)
+            time.sleep(0.02)
+        return block(config, p, a, root, b)
+
+    monkeypatch.setattr(montecarlo, "_block", failing_block)
+    monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+    return calls
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_a_failing_block_stops_every_share_and_is_raised(monkeypatch, workers):
+    calls = patch_failing_block(monkeypatch, workers, 5, lambda b: b == 5,
+                                RuntimeError("block 5 failed"))
+    baseline = threading.active_count()
+    with pytest.raises(RuntimeError, match="block 5 failed"):
+        simulate(make_config(n_events=200 * BLOCK_SIZE))
+    assert 5 in calls and len(calls) <= 5 + 2 * workers
+    assert threading.active_count() == baseline
+
+
+def test_an_interrupt_in_the_caller_stops_the_helpers(monkeypatch):
+    def in_caller(b):
+        return threading.current_thread() is threading.main_thread()
+
+    # the caller's first block from 4 on raises
+    calls = patch_failing_block(monkeypatch, 2, 4, in_caller, KeyboardInterrupt())
+    baseline = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        simulate(make_config(n_events=200 * BLOCK_SIZE))
+    assert len(calls) <= 4 + 2 * 2
+    assert threading.active_count() == baseline
+
+
+def test_a_helper_that_cannot_start_stops_the_others(monkeypatch):
+    block = montecarlo._block
+    calls, started = [], []
+    start = threading.Thread.start
+
+    def second_start_fails(thread):
+        if started:
+            raise RuntimeError("can't start new thread")
+        started.append(thread)
+        start(thread)
+
+    def slow_block(config, p, a, root, b):
+        calls.append(b)
+        time.sleep(0.005)
+        return block(config, p, a, root, b)
+
+    monkeypatch.setattr(montecarlo, "_block", slow_block)
+    monkeypatch.setattr(montecarlo, "_WORKERS", 3)
+    baseline = threading.active_count()
+    monkeypatch.setattr(threading.Thread, "start", second_start_fails)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        simulate(make_config(n_events=200 * BLOCK_SIZE))
+    monkeypatch.undo()
+    assert len(started) == 1 and not started[0].is_alive()
+    assert len(calls) < 200
+    assert threading.active_count() == baseline
+
+
+def test_an_interrupt_while_waiting_is_raised_once_the_helpers_end(monkeypatch):
+    # the caller has run every other block and waits for the helper's when
+    # SIGINT arrives; simulate raises only after the helper has finished
+    block = montecarlo._block
+    calls, finished = [], []
+
+    def helper_interrupts_block(config, p, a, root, b):
+        calls.append(b)
+        if threading.current_thread() is not threading.main_thread():
+            deadline = time.monotonic() + 10
+            while len(calls) < 40 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            time.sleep(0.1)
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            time.sleep(0.3)
+            finished.append(b)
+        return block(config, p, a, root, b)
+
+    monkeypatch.setattr(montecarlo, "_block", helper_interrupts_block)
+    monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+    baseline = threading.active_count()
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            simulate(make_config(n_events=40 * BLOCK_SIZE))
+    finally:
+        signal.signal(signal.SIGINT, handler)
+    assert len(finished) == 1
+    assert threading.active_count() == baseline
