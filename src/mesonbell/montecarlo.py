@@ -10,10 +10,11 @@ subsample no longer represents the produced ensemble.
 
 Randomness comes from the counter-based Philox generator, split into
 fixed-size blocks with independently seeded streams. The blocks run on up to
-min(CPUs, 8) threads, the calling thread included; each thread takes the next
-unclaimed block and sums integer counts over the blocks it ran, so the counts
-are bit-reproducible for a given seed and do not depend on the thread count or
-on which thread ran which block.
+min(CPUs, 8) threads, the calling thread included, with at least 32 blocks per
+thread, so runs of fewer than 64 blocks stay on the calling thread; each thread
+takes the next unclaimed block and sums integer counts over the blocks it ran,
+so the counts are bit-reproducible for a given seed and do not depend on the
+thread count or on which thread ran which block.
 """
 
 from __future__ import annotations
@@ -41,9 +42,14 @@ __all__ = [
 ]
 
 BLOCK_SIZE = 1 << 16
-# threads simulate uses (the caller counts as one); numpy's Philox fill and
-# the per-block array work release the interpreter lock
+# the most threads simulate uses (the caller counts as one); numpy's Philox
+# fill and the per-block array work release the interpreter lock
 _WORKERS = min(os.cpu_count() or 1, 8)
+# blocks each thread must get before one more thread starts: starting a thread
+# and waiting for the last block cost about a block, and several when another
+# program holds a core, so shorter runs gained little and some ran slower than
+# on one thread
+_BLOCKS_PER_WORKER = 32
 
 
 @dataclass(frozen=True)
@@ -135,7 +141,7 @@ def simulate(config: SimConfig) -> SimResult:
     p, a = _event_probabilities(config)
     root = np.random.SeedSequence(config.seed)
     n_blocks = _n_blocks(config)
-    workers = min(_WORKERS, n_blocks)
+    workers = max(1, min(_WORKERS, n_blocks // _BLOCKS_PER_WORKER))
     shares = np.zeros((workers, 16), dtype=np.int64)
     blocks, claim = itertools.count(), threading.Lock()
     stop = threading.Event()

@@ -319,7 +319,8 @@ def test_module_entry_points_run_the_cli(module, capsys):
     (["thresholds"], []),
     (["curve", "--preset", "fig3"], []),
     (["fit", "--preset", "fig3", "--eta", "0.3", "--grid", "0.2:5:20"], ["scipy.optimize"]),
-    (["mc", "--preset", "fig3", "--grid", "1:1:1", "--n-events", "200000"], []),
+    # enough blocks for simulate to start a helper thread on a multi-core host
+    (["mc", "--preset", "fig3", "--grid", "1:1:1", "--n-events", "5000000"], []),
 ])
 def test_commands_import_only_the_scipy_they_need(argv, loaded):
     src = Path(__file__).resolve().parent.parent / "src"

@@ -207,6 +207,12 @@ def result_counts(result):
                      result.accepted_counts, result.accepted_like_counts])
 
 
+def use_threads(mp, workers):
+    """Make simulate run on `workers` threads whatever its block count."""
+    mp.setattr(montecarlo, "_WORKERS", workers)
+    mp.setattr(montecarlo, "_BLOCKS_PER_WORKER", 1)
+
+
 _SPECIES = {"kaon": (KAON, (1.0, 0.13, 0.03, 0.04)), "bmeson": (BMESON, (0.52, 0.08, 0.52, 0.08))}
 
 
@@ -221,14 +227,14 @@ def test_block_streams_are_the_spawned_children(species, seed, n_events, workers
     config = make_config(weights=weights, n_events=n_events, seed=seed, params=params,
                          t=TimePair(1 / params.gamma_s, 2 / params.gamma_s))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(montecarlo, "_WORKERS", workers)
+        use_threads(mp, workers)
         result = simulate(config)
     assert np.array_equal(result_counts(result), reference_counts(config, seed))
 
 
 def test_counts_survive_forced_thread_switching(monkeypatch):
     # more threads than cores, switching as often as the interpreter allows
-    monkeypatch.setattr(montecarlo, "_WORKERS", 8)
+    use_threads(monkeypatch, 8)
     config = make_config(n_events=20 * BLOCK_SIZE + 7, seed=11)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -237,6 +243,26 @@ def test_counts_survive_forced_thread_switching(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(result_counts(result), reference_counts(config, 11))
+
+
+def test_short_runs_stay_on_the_calling_thread(monkeypatch):
+    # one more thread per _BLOCKS_PER_WORKER blocks, up to _WORKERS
+    monkeypatch.setattr(montecarlo, "_WORKERS", 8)
+    monkeypatch.setattr(montecarlo, "_BLOCKS_PER_WORKER", 4)
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    for n_blocks, helpers in [(1, 0), (7, 0), (8, 1), (11, 1), (12, 2), (40, 7)]:
+        started.clear()
+        config = make_config(n_events=n_blocks * BLOCK_SIZE, seed=n_blocks)
+        result = simulate(config)
+        assert len(started) == helpers, n_blocks
+        assert np.array_equal(result_counts(result), reference_counts(config, n_blocks))
 
 
 def test_first_events_cross_the_block_boundary_in_stream_order():
@@ -257,7 +283,7 @@ def test_unseeded_runs_draw_entropy_once_per_call(monkeypatch):
         return block(config, p, a, root, b)
 
     monkeypatch.setattr(montecarlo, "_block", recording_block)
-    monkeypatch.setattr(montecarlo, "_WORKERS", 3)
+    use_threads(monkeypatch, 3)
     config = make_config(n_events=3 * BLOCK_SIZE + 1234, seed=None)
     result = simulate(config)
     assert len(roots) == 4 and all(root is roots[0] for root in roots)
@@ -290,7 +316,7 @@ def patch_failing_block(monkeypatch, workers, first, fails, exc):
         return block(config, p, a, root, b)
 
     monkeypatch.setattr(montecarlo, "_block", failing_block)
-    monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+    use_threads(monkeypatch, workers)
     return calls
 
 
@@ -335,7 +361,7 @@ def test_a_helper_that_cannot_start_stops_the_others(monkeypatch):
         return block(config, p, a, root, b)
 
     monkeypatch.setattr(montecarlo, "_block", slow_block)
-    monkeypatch.setattr(montecarlo, "_WORKERS", 3)
+    use_threads(monkeypatch, 3)
     baseline = threading.active_count()
     monkeypatch.setattr(threading.Thread, "start", second_start_fails)
     with pytest.raises(RuntimeError, match="can't start new thread"):
@@ -365,7 +391,7 @@ def test_an_interrupt_while_waiting_is_raised_once_the_helpers_end(monkeypatch):
         return block(config, p, a, root, b)
 
     monkeypatch.setattr(montecarlo, "_block", helper_interrupts_block)
-    monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+    use_threads(monkeypatch, 2)
     baseline = threading.active_count()
     handler = signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
