@@ -15,6 +15,10 @@ linear programs in (a1..a4, t), solved exactly by one HiGHS call
 There is also the pointwise "trivial" assignment a_i = QM / P_i that
 reproduces QM identically wherever it is feasible, i.e. wherever the
 required ratios stay inside [0, 1].
+
+The (P, QM) tables and ``evaluate_gap`` evaluate their grids in chunks over
+the thread scheduler that ``montecarlo.simulate`` uses (``mesonbell._chunks``);
+grids under 2^19 points, the fit grids included, stay on the calling thread.
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ from typing import Iterator
 import numpy as np
 
 from .constants import OscillationParams
-from .lrm import EfficiencyWeights, RhoProfile, _like_rate, joint_probabilities
-from .quantum import qm_like_joint
+from ._chunks import _grid, _on_chunks
+from .lrm import EfficiencyWeights, RhoProfile, _joint_columns, _store_joints, _weight_rows, _weighted_rate
+from .quantum import _joint
 
 __all__ = [
     "FitProblem",
@@ -85,10 +90,20 @@ class FitProblem:
         return _tables(self.params, self.rho, self.grid_t_a, self.grid_t_b)
 
 
+def _table_chunk(params, rho, t_a, t_b, p, qm):
+    """Fill one chunk of the (P, qm) tables; returns its P1..P4 in time order and swapped pairs."""
+    columns, swapped = _joint_columns(params, rho, t_a, t_b)
+    _store_joints(columns, swapped, p)
+    _joint(params, t_a, t_b, np.sin, qm)
+    return columns, swapped
+
+
 def _tables(params, rho, t_a, t_b):
-    p = np.atleast_2d(joint_probabilities(params, rho, t_a, t_b))
-    qm = np.atleast_1d(np.asarray(qm_like_joint(params, t_a, t_b), dtype=float))
-    return p, qm
+    """(P, qm) on the grid (t_a, t_b), at least 1-D."""
+    shape, t_a, t_b = _grid(t_a, t_b)
+    p, qm = _on_chunks(lambda rows, *chunk: _table_chunk(params, rho, *chunk), t_a, t_b, (4,), ())
+    shape = shape or (1,)
+    return p.reshape(*shape, 4), qm.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -234,7 +249,11 @@ def fit_constant_weights(problem: FitProblem) -> FitResult:
 
 @dataclass(frozen=True)
 class CurveTable:
-    """Sampled per-grid-point comparison of the QM and weighted-LRM curves."""
+    """Sampled per-grid-point comparison of the QM and weighted-LRM curves.
+
+    Every column has the broadcast shape of the grid (t_a, t_b), at least 1-D;
+    ``p`` adds a last axis of four.
+    """
 
     t_a: np.ndarray
     t_b: np.ndarray
@@ -254,9 +273,19 @@ class CurveTable:
 
 def evaluate_gap(params: OscillationParams, rho: RhoProfile, weights: EfficiencyWeights,
                  grid_t_a, grid_t_b) -> CurveTable:
-    """Tabulate QM, weighted LRM, the four P_i and the signed gap on a grid."""
-    t_a = np.asarray(grid_t_a, dtype=float)
-    t_b = np.asarray(grid_t_b, dtype=float)
-    p, qm = _tables(params, rho, t_a, t_b)
-    lrm = _like_rate(np.atleast_2d(weights.values(t_a, t_b)), p, t_a, t_b)
-    return CurveTable(t_a=t_a, t_b=t_b, qm=qm, lrm=lrm, p=p, gap=lrm - qm)
+    """Tabulate QM, weighted LRM, the four P_i and the signed gap on a grid.
+
+    Time-dependent weights are evaluated once, at the caller's whole grid.
+    """
+    shape, t_a, t_b = _grid(grid_t_a, grid_t_b)
+    a = _weight_rows(weights, grid_t_a, grid_t_b, shape)
+
+    def kernel(rows, t_a, t_b, p, qm, lrm, gap):
+        columns, swapped = _table_chunk(params, rho, t_a, t_b, p, qm)
+        _weighted_rate(columns, swapped, a[rows], lrm)
+        np.subtract(lrm, qm, out=gap)
+
+    p, qm, lrm, gap = _on_chunks(kernel, t_a, t_b, (4,), (), (), ())
+    shape = shape or (1,)
+    return CurveTable(t_a=t_a.reshape(shape), t_b=t_b.reshape(shape), qm=qm.reshape(shape),
+                      lrm=lrm.reshape(shape), p=p.reshape(*shape, 4), gap=gap.reshape(shape))

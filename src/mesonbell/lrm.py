@@ -67,6 +67,12 @@ initial hidden configuration.  The observed like-flavor rate is then
 
 which is where hidden-variable-correlated detection (the detection loophole)
 enters: unequal weights bias the post-selected sample.
+
+``joint_probabilities`` and ``lrm_like_joint`` evaluate large time grids in
+chunks of 2^14 points, spread over threads for grids of 2^19 points or more
+(``mesonbell._chunks``).  Every value depends only on its own time pair, so
+the output is the same bits whatever the chunking, and an inadmissible rho
+raises at the first offending time pair in array order.
 """
 
 from __future__ import annotations
@@ -77,8 +83,8 @@ from typing import Callable
 
 import numpy as np
 
+from ._chunks import _check_times, _grid, _on_chunks
 from .constants import OscillationParams
-from .quantum import _check_times
 
 __all__ = [
     "HiddenState",
@@ -288,18 +294,25 @@ class RhoProfile:
             scaled_l = rho * np.exp(params.gamma_l * t)
         return qm - scaled_s, qm + scaled_l
 
-    def _check_fractions(self, params: OscillationParams, t):
-        w2, w4 = self._fractions(params, t)
-        bad = ~((w2 >= -_ADMISSIBLE_TOL) & (w2 <= 1.0 + _ADMISSIBLE_TOL)
-                & (w4 >= -_ADMISSIBLE_TOL) & (w4 <= 1.0 + _ADMISSIBLE_TOL))
-        if np.any(bad):
-            t_arr = np.broadcast_to(np.asarray(t, dtype=float), bad.shape)
-            t_bad = float(t_arr[bad].flat[0])
+    def _check_fractions(self, params: OscillationParams, *times):
+        """Flip fractions (w2, w4) at each of the times, checked together.
+
+        An inadmissible value raises at the first offending index in array
+        order, and at that index at the first offending time in argument order.
+        """
+        fractions = [self._fractions(params, t) for t in times]
+        lo, hi = -_ADMISSIBLE_TOL, 1.0 + _ADMISSIBLE_TOL
+        # a nan propagates through min and max, and the comparison then fails
+        if not all(w.size == 0 or (w.min() >= lo and w.max() <= hi) for pair in fractions for w in pair):
+            bad = np.stack(np.broadcast_arrays(*(~((w2 >= lo) & (w2 <= hi) & (w4 >= lo) & (w4 <= hi))
+                                                 for w2, w4 in fractions)), axis=-1)
+            t_all = np.stack(np.broadcast_arrays(*(np.asarray(t, dtype=float) for t in times)), axis=-1)
+            t_bad = float(t_all[bad][0])
             lo, up = rho_bounds(params, t_bad)
             raise InadmissibleRhoError(
                 t_bad, f"value outside [{float(lo):.6e}, {float(up):.6e}]"
             )
-        return w2, w4
+        return fractions
 
 
 def _require_ordered(t_a, t_b) -> None:
@@ -311,10 +324,10 @@ def _require_ordered(t_a, t_b) -> None:
 def _increments(params: OscillationParams, rho: RhoProfile, t_a, t_b):
     """Flip fractions (w2, w4) at t_a and the flips (p21, p43) within (t_a, t_b].
 
-    The callers have already checked the times.
+    The callers have already checked the times.  An inadmissible rho raises
+    at the first offending pair (t_a, t_b), at t_a before t_b.
     """
-    w2, w4 = rho._check_fractions(params, t_a)
-    w2_b, w4_b = rho._check_fractions(params, t_b)
+    (w2, w4), (w2_b, w4_b) = rho._check_fractions(params, t_a, t_b)
     dt = np.asarray(t_b, dtype=float) - np.asarray(t_a, dtype=float)
     return (w2, w4, np.exp(-params.gamma_s * dt) * (w2_b - w2),
             np.exp(-params.gamma_l * dt) * (w4_b - w4))
@@ -338,34 +351,56 @@ def p43_conditional(params: OscillationParams, rho: RhoProfile, t_a, t_b):
     return out if out.ndim else float(out)
 
 
+def _joint_columns(params: OscillationParams, rho: RhoProfile, t_a, t_b):
+    """P1..P4 of a chunk at its times sorted per pair, and the pairs where t_a > t_b.
+
+    The chunk kernel behind every P_i observable; the caller has checked the times.
+    """
+    swapped = t_a > t_b
+    if swapped.any():
+        t_a, t_b = np.minimum(t_a, t_b), np.maximum(t_a, t_b)
+    w2, w4, c21, c43 = _increments(params, rho, t_a, t_b)
+    first = np.exp(-params.gamma_s * t_a) * np.exp(-params.gamma_l * t_a)
+    columns = (first * w2 * c43, first * (1.0 - w2) * c43,
+               first * w4 * c21, first * (1.0 - w4) * c21)
+    return columns, swapped
+
+
+def _store_joints(columns, swapped, out) -> None:
+    """Write P1..P4 into the (m, 4) out, relabelled where t_a > t_b (module docstring)."""
+    np.stack(columns, axis=-1, out=out)
+    out += 0.0  # turns the -0.0 of first * 0.0 * (negative flip) into 0.0
+    if swapped.any():
+        out[swapped] = out[swapped, ::-1]
+
+
+def _weighted_rate(columns, swapped, a, out) -> None:
+    """(1/4) (0.0 + a1 P1 + a2 P2 + a3 P3 + a4 P4) into out, for the (m, 4) weight rows a.
+
+    That order is np.sum's over an axis of four, signed zeros included.
+    Relabelled pairs sum in time order, so both time orders agree bit for bit.
+    """
+    if swapped.any():
+        a = np.where(swapped[:, None], a[:, ::-1], a)
+    np.multiply(columns[0], a[:, 0], out=out)
+    out += 0.0
+    for j in (1, 2, 3):
+        out += columns[j] * a[:, j]
+    out *= 0.25
+
+
 def joint_probabilities(params: OscillationParams, rho: RhoProfile, t_a, t_b):
     """The four like-flavor joint probabilities P1..P4, stacked on a new last axis.
 
     Either time order: for t_a > t_b the sides are relabelled (module docstring).
     """
-    _check_times(t_a, t_b)
-    t_a = np.asarray(t_a, dtype=float)
-    t_b = np.asarray(t_b, dtype=float)
-    swapped = t_a > t_b
-    if np.any(swapped):
-        t_a, t_b = np.minimum(t_a, t_b), np.maximum(t_a, t_b)
-    w2, w4, c21, c43 = _increments(params, rho, t_a, t_b)
-    first = np.exp(-params.gamma_s * t_a) * np.exp(-params.gamma_l * t_a)
-    stacked = np.stack(
-        [
-            first * w2 * c43,
-            first * (1.0 - w2) * c43,
-            first * w4 * c21,
-            first * (1.0 - w4) * c21,
-        ],
-        axis=-1,
-    ) + 0.0  # + 0.0 turns the -0.0 of first * 0.0 * (negative flip) into 0.0
-    return _relabel(stacked, swapped)
+    shape, t_a, t_b = _grid(t_a, t_b)
 
+    def kernel(rows, t_a, t_b, out):
+        _store_joints(*_joint_columns(params, rho, t_a, t_b), out)
 
-def _relabel(x, swapped):
-    """Reverse the configuration axis of x on the rows where t_a > t_b."""
-    return np.where(swapped[..., None], x[..., ::-1], x) if np.any(swapped) else x
+    (p,) = _on_chunks(kernel, t_a, t_b, (4,))
+    return p.reshape(*shape, 4)
 
 
 @dataclass(frozen=True)
@@ -424,10 +459,16 @@ def _validate_weight_values(values: np.ndarray) -> None:
         raise WeightRangeError(f"acceptance weights must lie in [0, 1]; got {bad.flat[0]!r}")
 
 
-def _like_rate(w, p, t_a, t_b):
-    """(1/4) sum_i a_i P_i; relabelled rows sum in time order, so both orders agree bit for bit."""
-    prod = _relabel(w * p, np.asarray(t_a) > np.asarray(t_b))
-    return 0.25 * np.sum(prod, axis=-1)
+def _weight_rows(weights: EfficiencyWeights, t_a, t_b, shape) -> np.ndarray:
+    """a1..a4 as (n, 4) rows over the flattened grid shape.
+
+    Plain numbers become one row broadcast over the grid, not n copies of it;
+    otherwise ``weights.values`` is called once with the caller's (t_a, t_b).
+    """
+    n = math.prod(shape)
+    if all(not callable(w) and np.ndim(w) == 0 for w in weights.as_tuple()):
+        return np.broadcast_to(np.array(weights.as_tuple(), dtype=float), (n, 4))
+    return np.broadcast_to(weights.values(t_a, t_b), (*shape, 4)).reshape(n, 4)
 
 
 def lrm_like_joint(params: OscillationParams, rho: RhoProfile, weights: EfficiencyWeights, t_a, t_b):
@@ -435,6 +476,12 @@ def lrm_like_joint(params: OscillationParams, rho: RhoProfile, weights: Efficien
 
     Time-dependent weights are evaluated at the caller's (t_a, t_b).
     """
-    p = joint_probabilities(params, rho, t_a, t_b)
-    out = _like_rate(weights.values(t_a, t_b), p, t_a, t_b)
+    shape, flat_a, flat_b = _grid(t_a, t_b)
+    a = _weight_rows(weights, t_a, t_b, shape)
+
+    def kernel(rows, t_a, t_b, out):
+        _weighted_rate(*_joint_columns(params, rho, t_a, t_b), a[rows], out)
+
+    (out,) = _on_chunks(kernel, flat_a, flat_b, ())
+    out = out.reshape(shape)
     return out if out.ndim else float(out)

@@ -14,19 +14,20 @@ min(CPUs, 8) threads, the calling thread included, with at least 32 blocks per
 thread, so runs of fewer than 64 blocks stay on the calling thread; each thread
 takes the next unclaimed block and sums integer counts over the blocks it ran,
 so the counts are bit-reproducible for a given seed and do not depend on the
-thread count or on which thread ran which block.
+thread count or on which thread ran which block.  The scheduler is the one
+the array functions of ``lrm``, ``quantum`` and ``fitting`` hand their time-grid
+chunks to (``mesonbell._chunks``).
 """
 
 from __future__ import annotations
 
 import itertools
 import numbers
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._chunks import _WORKERS, _run_shares
 from .constants import OscillationParams
 from .lrm import EfficiencyWeights, RhoProfile, joint_probabilities
 from .quantum import TimePair
@@ -42,9 +43,6 @@ __all__ = [
 ]
 
 BLOCK_SIZE = 1 << 16
-# the most threads simulate uses (the caller counts as one); numpy's Philox
-# fill and the per-block array work release the interpreter lock
-_WORKERS = min(os.cpu_count() or 1, 8)
 # blocks each thread must get before one more thread starts: starting a thread
 # and waiting for the last block cost about a block, and several when another
 # program holds a core, so shorter runs gained little and some ran slower than
@@ -143,48 +141,12 @@ def simulate(config: SimConfig) -> SimResult:
     n_blocks = _n_blocks(config)
     workers = max(1, min(_WORKERS, n_blocks // _BLOCKS_PER_WORKER))
     shares = np.zeros((workers, 16), dtype=np.int64)
-    blocks, claim = itertools.count(), threading.Lock()
-    stop = threading.Event()
-    done = [threading.Event() for _ in range(workers)]
-    errors: list[BaseException] = []
 
-    def share(w: int) -> None:
-        # claims the next unclaimed block, so a thread slowed by a busy core
-        # runs fewer blocks; a failure anywhere stops every share
-        try:
-            while not stop.is_set():
-                with claim:
-                    b = next(blocks)
-                if b >= n_blocks:
-                    return
-                pairs, like, accepted = _block(config, p, a, root, b)
-                shares[w] += np.bincount(pairs * 4 + like * 2 + accepted, minlength=16)
-        except BaseException as exc:  # re-raised in the caller below
-            errors.append(exc)
-            stop.set()
-        finally:
-            done[w].set()
+    def count_block(w: int, b: int) -> None:
+        pairs, like, accepted = _block(config, p, a, root, b)
+        shares[w] += np.bincount(pairs * 4 + like * 2 + accepted, minlength=16)
 
-    helpers: list[threading.Thread] = []
-    try:
-        for w in range(1, workers):
-            thread = threading.Thread(target=share, args=(w,))
-            thread.start()
-            helpers.append(thread)
-        share(0)
-        # not Thread.join: an interrupted join can mark a running thread as
-        # stopped (CPython 3.11), and the join below would then return at once
-        for event in done:
-            event.wait()
-    finally:
-        # helpers are still running here only if starting one failed or an
-        # interrupt arrived while waiting
-        stop.set()
-        for thread in helpers:
-            thread.join()
-    if errors:
-        raise errors[0]
-
+    _run_shares(n_blocks, workers, count_block)
     counts = shares.sum(axis=0).reshape(4, 2, 2)    # [configuration, like-flavor, accepted]
     pair_counts = counts.sum(axis=(1, 2))
     like_counts = counts[:, 1].sum(axis=1)

@@ -1,0 +1,255 @@
+"""Chunked evaluation of the array entry points: same bits, same errors, same threads rule."""
+
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mesonbell import _chunks, fitting, lrm
+from mesonbell.constants import BMESON, KAON
+from mesonbell.fitting import evaluate_gap
+from mesonbell.lrm import (
+    EfficiencyWeights,
+    InadmissibleRhoError,
+    RhoProfile,
+    joint_probabilities,
+    lrm_like_joint,
+    rho_bounds,
+)
+from mesonbell.quantum import qm_like_joint, qm_unlike_joint
+
+G = KAON.gamma_s
+SERIAL = 1 << 40    # a chunk size no test grid reaches: one chunk on the calling thread
+
+
+def use_chunks(mp, chunk, workers):
+    """Evaluate in chunks of `chunk` points on `workers` threads whatever the chunk count."""
+    mp.setattr(_chunks, "_CHUNK", chunk)
+    mp.setattr(_chunks, "_WORKERS", workers)
+    mp.setattr(_chunks, "_CHUNKS_PER_WORKER", 1)
+
+
+def count_thread_starts(mp):
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        start(thread)
+
+    mp.setattr(threading.Thread, "start", counting_start)
+    return started
+
+
+def tabulated(params):
+    # admissible between its knots for the kaon from 0.5/gamma_s on
+    knot_t = np.linspace(0.0, 5.0, 9) / params.gamma_s
+    return RhoProfile.tabulated(list(zip(knot_t, 0.5 * np.asarray(rho_bounds(params, knot_t)[1]))))
+
+
+def callable_weight(phase):
+    return lambda t_a, t_b: 0.5 + 0.4 * np.sin(G * np.asarray(t_a) + phase) * np.cos(G * np.asarray(t_b))
+
+
+def outcomes(params, rho, weights, t_a, t_b):
+    """Every output of the array entry points, or the error they raise."""
+    out = [qm_like_joint(params, t_a, t_b), qm_unlike_joint(params, t_a, t_b)]
+    try:
+        table = evaluate_gap(params, rho, weights, t_a, t_b)
+        out += [joint_probabilities(params, rho, t_a, t_b), lrm_like_joint(params, rho, weights, t_a, t_b),
+                *fitting._tables(params, rho, t_a, t_b),
+                table.t_a, table.t_b, table.qm, table.lrm, table.p, table.gap]
+    except InadmissibleRhoError as exc:
+        out.append(("inadmissible", exc.t))
+    return out
+
+
+def same(x, y):
+    """Equal shapes and equal bits (signed zeros included), or equal errors."""
+    if isinstance(x, tuple) or isinstance(y, tuple):
+        return x == y
+    return np.shape(x) == np.shape(y) and np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(chunk=st.sampled_from([7, _chunks._CHUNK]),
+       size=st.sampled_from(["0", "1", "C-1", "C", "C+1", "3C+17"]),
+       layout=st.sampled_from(["flat", "2-D", "scalar t_a", "outer"]),
+       species=st.sampled_from(["kaon", "bmeson"]),
+       rho_kind=st.sampled_from(["zero", "saturate_upper_short", "tabulated"]),
+       callables=st.lists(st.booleans(), min_size=4, max_size=4),
+       workers=st.sampled_from([1, 2, 3, 8]),
+       seed=st.integers(0, 2**32 - 1))
+def test_outputs_do_not_depend_on_chunking_or_threads(chunk, size, layout, species, rho_kind,
+                                                      callables, workers, seed):
+    n = {"0": 0, "1": 1, "C-1": chunk - 1, "C": chunk, "C+1": chunk + 1, "3C+17": 3 * chunk + 17}[size]
+    params = {"kaon": KAON, "bmeson": BMESON}[species]
+    rho = tabulated(params) if rho_kind == "tabulated" else RhoProfile(rho_kind)
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.0, 1.0, 4)
+    weights = EfficiencyWeights(*(callable_weight(i) if c else float(a[i]) for i, c in enumerate(callables)))
+    # mixed time order, with some equal pairs
+    t_a = rng.uniform(0.5, 5.0, 2 * n) / params.gamma_s
+    t_b = np.where(rng.random(2 * n) < 0.1, t_a, rng.uniform(0.5, 5.0, 2 * n) / params.gamma_s)
+    t_a, t_b = {"flat": (t_a[:n], t_b[:n]),
+                "2-D": (t_a.reshape(2, n), t_b.reshape(2, n)),
+                "scalar t_a": (float(t_a[0]) if n else 1.0 / params.gamma_s, t_b[:n]),
+                "outer": (t_a[:n, None], t_b[:3][None, :] if n else t_b[:0])}[layout]
+    with pytest.MonkeyPatch.context() as mp:
+        use_chunks(mp, SERIAL, 1)
+        expected = outcomes(params, rho, weights, t_a, t_b)
+        use_chunks(mp, chunk, workers)
+        got = outcomes(params, rho, weights, t_a, t_b)
+    assert len(got) == len(expected)
+    assert all(same(x, y) for x, y in zip(got, expected))
+
+
+def test_inadmissible_rho_raises_at_the_first_offending_pair(monkeypatch):
+    # saturate_lower_short is inadmissible for the kaon below ~1.5/gamma_s and
+    # admissible at 3-4/gamma_s; chunks of 7 put bad pairs in chunks 3 and 7
+    rho = RhoProfile.saturate_lower_short()
+    t_a, t_b = np.full(70, 3.0 / G), np.full(70, 4.0 / G)
+    t_b[23] = 0.5 / G           # a swapped pair: its earlier time is t_b
+    t_a[25] = 0.4 / G
+    t_a[50] = 0.3 / G
+    increments = lrm._increments
+    late_failed = threading.Event()
+    raised = []
+
+    def increments_chunk_3_last(params, rho, t_lo, t_hi):
+        # chunk 3 waits until chunk 7 has failed, so its error arrives last
+        if np.any(t_lo == 0.5 / G):
+            late_failed.wait(timeout=10)
+        try:
+            return increments(params, rho, t_lo, t_hi)
+        except InadmissibleRhoError as exc:
+            raised.append(exc.t)
+            late_failed.set()
+            raise
+
+    for call in (lambda: joint_probabilities(KAON, rho, t_a, t_b),
+                 lambda: lrm_like_joint(KAON, rho, EfficiencyWeights.uniform(0.5), t_a, t_b),
+                 lambda: evaluate_gap(KAON, rho, EfficiencyWeights.uniform(0.5), t_a, t_b)):
+        with pytest.MonkeyPatch.context() as mp:
+            use_chunks(mp, SERIAL, 1)
+            with pytest.raises(InadmissibleRhoError) as serial:
+                call()
+            assert serial.value.t == 0.5 / G
+            use_chunks(mp, 7, 3)
+            mp.setattr(lrm, "_increments", increments_chunk_3_last)
+            late_failed.clear()
+            raised.clear()
+            baseline = threading.active_count()
+            with pytest.raises(InadmissibleRhoError) as chunked:
+                call()
+            assert raised == [0.3 / G, 0.5 / G]
+            assert chunked.value.t == serial.value.t
+            assert str(chunked.value) == str(serial.value)
+            assert threading.active_count() == baseline
+
+
+def test_the_later_time_of_an_earlier_pair_is_raised_first(monkeypatch):
+    # saturate_upper_short is inadmissible for the B meson where Q- > Q+,
+    # i.e. delta_m t in (pi/2, 3 pi/2); pair 5 is bad only at its later time
+    rho, period = RhoProfile.saturate_upper_short(), np.pi / BMESON.delta_m
+    t_a, t_b = np.full(70, 0.2 * period), np.full(70, 0.3 * period)
+    t_b[5] = period
+    t_a[40], t_b[40] = 0.9 * period, 0.95 * period
+    for chunk, workers in [(SERIAL, 1), (7, 3), (64, 2)]:
+        use_chunks(monkeypatch, chunk, workers)
+        with pytest.raises(InadmissibleRhoError) as err:
+            joint_probabilities(BMESON, rho, t_a, t_b)
+        assert err.value.t == period
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1e-12, np.inf])
+def test_bad_times_raise_before_any_thread_starts(monkeypatch, bad):
+    use_chunks(monkeypatch, 7, 8)
+    started = count_thread_starts(monkeypatch)
+    t_a = np.linspace(0.5, 5.0, 100) / G
+    t_b = 2 * t_a
+    t_b[90] = bad
+    weights = EfficiencyWeights.uniform(0.5)
+    for call in (lambda: qm_like_joint(KAON, t_a, t_b), lambda: qm_unlike_joint(KAON, t_a, t_b),
+                 lambda: joint_probabilities(KAON, RhoProfile.zero(), t_a, t_b),
+                 lambda: lrm_like_joint(KAON, RhoProfile.zero(), weights, t_a, t_b),
+                 lambda: evaluate_gap(KAON, RhoProfile.zero(), weights, t_a, t_b)):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            call()
+    assert started == []
+
+
+def test_helper_threads_see_the_callers_errstate(monkeypatch):
+    # late kaon times (gamma_s t ~ 800) underflow e^{-gamma_s t}; under
+    # errstate(under="raise") every share must raise, helpers included
+    monkeypatch.setattr(_chunks, "_WORKERS", 2)
+    joints = lrm._joint_columns
+    first_chunk_done = threading.Event()
+    raised_in = []
+
+    def recording(params, rho, t_a, t_b):
+        if threading.current_thread() is threading.main_thread():
+            # the caller waits until a helper has run a chunk
+            first_chunk_done.wait(timeout=10)
+        try:
+            return joints(params, rho, t_a, t_b)
+        except FloatingPointError:
+            raised_in.append(threading.current_thread())
+            raise
+        finally:
+            first_chunk_done.set()
+
+    monkeypatch.setattr(lrm, "_joint_columns", recording)
+    t_a = np.linspace(800.0, 801.0, 1_000_000) / G
+    with np.errstate(under="ignore"):
+        lrm_like_joint(KAON, RhoProfile.zero(), EfficiencyWeights.uniform(1.0), t_a, t_a)
+    raised_in.clear()
+    first_chunk_done.clear()
+    with np.errstate(under="raise"), pytest.raises(FloatingPointError):
+        lrm_like_joint(KAON, RhoProfile.zero(), EfficiencyWeights.uniform(1.0), t_a, t_a)
+    assert raised_in and raised_in[0] is not threading.main_thread()
+
+
+def test_small_grids_stay_on_the_calling_thread(monkeypatch):
+    # one more thread per _CHUNKS_PER_WORKER chunks, up to _WORKERS
+    monkeypatch.setattr(_chunks, "_WORKERS", 8)
+    started = count_thread_starts(monkeypatch)
+    weights = EfficiencyWeights.constant(1.0, 0.13, 0.03, 0.04)
+    # the fit grids, the scan probes and the dense CLI curve at the real chunk size
+    for n in (200, 50_000, 100_000):
+        t_a = np.linspace(0.2, 5.0, n) / G
+        evaluate_gap(KAON, RhoProfile.zero(), weights, t_a, 2 * t_a)
+        lrm_like_joint(KAON, RhoProfile.zero(), weights, t_a, 2 * t_a)
+        fitting._tables(KAON, RhoProfile.zero(), t_a, 2 * t_a)
+    assert started == []
+    monkeypatch.setattr(_chunks, "_CHUNK", 7)
+    for n_chunks, helpers in [(1, 0), (31, 0), (32, 1), (47, 1), (48, 2), (200, 7)]:
+        started.clear()
+        t_a = np.linspace(0.2, 5.0, 7 * n_chunks) / G
+        joint_probabilities(KAON, RhoProfile.zero(), t_a, 2 * t_a)
+        assert len(started) == helpers, n_chunks
+
+
+def test_the_lowest_failing_item_is_raised_after_every_share_ends():
+    # items 2 and 5 fail; 5 fails first, yet 2 was claimed first and is raised
+    two_started, five_failed = threading.Event(), threading.Event()
+    ran = []
+
+    def work(share, item):
+        ran.append(item)
+        if item == 2:
+            two_started.set()
+            five_failed.wait(timeout=10)
+            raise RuntimeError("item 2")
+        if item == 5:
+            two_started.wait(timeout=10)
+            five_failed.set()
+            raise RuntimeError("item 5")
+
+    baseline = threading.active_count()
+    with pytest.raises(RuntimeError, match="item 2"):
+        _chunks._run_shares(100, 3, work)
+    assert 2 in ran and 5 in ran and len(ran) < 100
+    assert threading.active_count() == baseline

@@ -321,6 +321,8 @@ def test_module_entry_points_run_the_cli(module, capsys):
     (["fit", "--preset", "fig3", "--eta", "0.3", "--grid", "0.2:5:20"], ["scipy.optimize"]),
     # enough blocks for simulate to start a helper thread on a multi-core host
     (["mc", "--preset", "fig3", "--grid", "1:1:1", "--n-events", "5000000"], []),
+    # enough grid points (32 chunks) for the tables to start a helper thread on a multi-core host
+    (["curve", "--preset", "fig3", "--grid", "0.2:5:524288"], []),
 ])
 def test_commands_import_only_the_scipy_they_need(argv, loaded):
     src = Path(__file__).resolve().parent.parent / "src"
@@ -335,8 +337,8 @@ def test_commands_import_only_the_scipy_they_need(argv, loaded):
     assert proc.returncode == 0, proc.stderr
     modules = json.loads(proc.stdout)
     if not loaded:
-        # mc runs its threads without concurrent.futures, whose import costs ~15 ms;
-        # fit gets it from scipy.optimize, which imports it itself
+        # mc and large curves run their threads without concurrent.futures, whose
+        # import costs ~15 ms; fit gets it from scipy.optimize, which imports it itself
         assert modules == []
     # scipy.optimize brings its own dependencies, but not the quadrature
     assert all(name in modules for name in loaded)

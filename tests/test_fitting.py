@@ -290,7 +290,8 @@ def test_trivial_weights_build_one_table_per_evaluation(monkeypatch):
         monkeypatch.setattr(fitting, "_tables", lambda *args: builds.append(args) or tables(*args))
         builds.clear()
         table = evaluate_gap(BMESON, ZERO, result.weights, t_a, t_b)
-        assert len(builds) == 2
+        # the four weights share one table; evaluate_gap builds its own columns in chunks
+        assert len(builds) == 1
         monkeypatch.setattr(fitting, "_tables", tables)
         expected = evaluate_gap(BMESON, ZERO, reference, t_a, t_b)
         assert np.array_equal(table.gap, expected.gap)
@@ -316,6 +317,24 @@ def test_evaluate_gap_table():
     assert table.t_a[0] * KAON.gamma_s == pytest.approx(0.2, rel=1e-12)
     assert table.t_a.shape == table.qm.shape == table.lrm.shape == table.gap.shape == (10,)
     assert len(CurveTable.columns) == 8
+
+
+@pytest.mark.parametrize("t_a, t_b, shape", [
+    (1e-10, 2e-10, (1,)),
+    (1e-10, np.linspace(1e-10, 5e-10, 7), (7,)),
+    (np.linspace(1e-10, 5e-10, 7), 3e-10, (7,)),
+    (np.linspace(1e-10, 5e-10, 6).reshape(2, 3), np.linspace(2e-10, 9e-10, 6).reshape(2, 3), (2, 3)),
+    (np.linspace(1e-10, 3e-10, 3)[:, None], np.linspace(2e-10, 9e-10, 4), (3, 4)),
+])
+def test_curve_table_columns_take_the_broadcast_grid_shape(t_a, t_b, shape):
+    table = evaluate_gap(KAON, ZERO, EfficiencyWeights.constant(*FIG3_WEIGHTS), t_a, t_b)
+    for column in (table.t_a, table.t_b, table.qm, table.lrm, table.gap):
+        assert column.shape == shape
+    assert table.p.shape == shape + (4,)
+    assert np.array_equal(table.t_a, np.broadcast_to(t_a, shape))
+    assert np.array_equal(table.t_b, np.broadcast_to(t_b, shape))
+    assert np.array_equal(table.qm, np.broadcast_to(qm_like_joint(KAON, t_a, t_b), shape))
+    assert np.array_equal(table.gap, table.lrm - table.qm)
 
 
 def test_evaluate_gap_matches_direct_weighted_sum():
