@@ -1,12 +1,12 @@
 """Time-grid checks, chunked array evaluation and the thread scheduler.
 
 ``_run_shares`` runs numbered work items on the calling thread plus helper
-threads; ``montecarlo.simulate`` hands it its event blocks.  ``_on_chunks``
-hands it the fixed-size chunks of a time grid, so every array entry point
-(``qm_like_joint``, ``qm_unlike_joint``, ``joint_probabilities``,
-``lrm_like_joint`` and the fitter's tables) evaluates its kernel one
-cache-sized chunk at a time.  Each output element depends only on its own row,
-so the outputs are the same bits whatever the chunking or thread count.
+threads.  ``_on_chunks`` hands it the fixed-size chunks of a time grid, so
+every array entry point (``qm_like_joint``, ``qm_unlike_joint``,
+``joint_probabilities``, ``lrm_like_joint`` and the fitter's tables) evaluates
+its kernel one cache-sized chunk at a time.  Each output element depends only
+on its own row, so the outputs are the same bits whatever the chunking or
+thread count.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 # the most threads one call uses (the caller counts as one); numpy's ufunc
-# loops, Philox fill and array work release the interpreter lock
+# loops and array work release the interpreter lock
 _WORKERS = min(os.cpu_count() or 1, 8)
 # points per chunk, so the kernels' temporaries stay in the core's cache; on
 # a 2-core host 2^13 to 2^15 ran alike on one thread and 2^14 ran fastest on two
@@ -39,8 +39,8 @@ def _check_times(*times) -> None:
             raise ValueError("proper times must be finite and non-negative")
 
 
-def _run_shares(n_items: int, workers: int, work: Callable[[int, int], None]) -> None:
-    """Call work(share, item) once for every item in range(n_items), on `workers` threads.
+def _run_shares(n_items: int, workers: int, work: Callable[[int], None]) -> None:
+    """Call work(item) once for every item in range(n_items), on `workers` threads.
 
     The calling thread runs share 0 and ``workers - 1`` plain threads run the
     others, each in a copy of the caller's context (numpy's errstate lives
@@ -62,7 +62,7 @@ def _run_shares(n_items: int, workers: int, work: Callable[[int, int], None]) ->
                     item = next(items)
                 if item >= n_items:
                     return
-                work(w, item)
+                work(item)
         except BaseException as exc:  # re-raised in the caller below
             errors.append((item, exc))
         finally:
@@ -117,7 +117,7 @@ def _on_chunks(kernel: Callable, t_a: np.ndarray, t_b: np.ndarray, *widths: tupl
     size = _CHUNK
     n_chunks = -(-t_a.size // size)
 
-    def work(_share: int, chunk: int) -> None:
+    def work(chunk: int) -> None:
         rows = slice(chunk * size, (chunk + 1) * size)
         kernel(rows, t_a[rows], t_b[rows], *[out[rows] for out in outputs])
 

@@ -16,9 +16,9 @@ There is also the pointwise "trivial" assignment a_i = QM / P_i that
 reproduces QM identically wherever it is feasible, i.e. wherever the
 required ratios stay inside [0, 1].
 
-The (P, QM) tables and ``evaluate_gap`` evaluate their grids in chunks over
-the thread scheduler that ``montecarlo.simulate`` uses (``mesonbell._chunks``);
-grids under 2^19 points, the fit grids included, stay on the calling thread.
+The (P, QM) tables and ``evaluate_gap`` evaluate their grids in chunks on
+the thread scheduler of ``mesonbell._chunks``; grids under 2^19 points, the
+fit grids included, stay on the calling thread.
 """
 
 from __future__ import annotations

@@ -8,26 +8,26 @@ prediction (1/4) sum_i a_i P_i, while the per-configuration acceptance
 rates expose the sampling bias directly: with unequal weights the detected
 subsample no longer represents the produced ensemble.
 
-Randomness comes from the counter-based Philox generator, split into
-fixed-size blocks with independently seeded streams. The blocks run on up to
-min(CPUs, 8) threads, the calling thread included, with at least 32 blocks per
-thread, so runs of fewer than 64 blocks stay on the calling thread; each thread
-takes the next unclaimed block and sums integer counts over the blocks it ran,
-so the counts are bit-reproducible for a given seed and do not depend on the
-thread count or on which thread ran which block.  The scheduler is the one
-the array functions of ``lrm``, ``quantum`` and ``fitting`` hand their time-grid
-chunks to (``mesonbell._chunks``).
+A run is summarized by its 16 counts [configuration, like-flavor, accepted],
+and their joint law is exact and hierarchical, so they are drawn directly
+rather than event by event: the pairs per configuration are
+Multinomial(n, 1/4 each), the like-flavor outcomes Binomial(pairs_i, P_i),
+and the accepted like and unlike events Binomial(like_i, a_i) and
+Binomial(pairs_i - like_i, a_i).  That is a fixed handful of draws from one
+generator seeded by ``SeedSequence(seed)``, whatever the event count, so the
+counts are bit-reproducible for a given seed.  ``first_events`` draws the same
+counts from the same generator, then deals its records one at a time from
+that urn, without replacement; the records are a uniformly shuffled stream
+of those events, and a shorter listing is a prefix of a longer one.
 """
 
 from __future__ import annotations
 
-import itertools
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._chunks import _WORKERS, _run_shares
 from .constants import OscillationParams
 from .lrm import EfficiencyWeights, RhoProfile, joint_probabilities
 from .quantum import TimePair
@@ -42,12 +42,9 @@ __all__ = [
     "first_events",
 ]
 
-BLOCK_SIZE = 1 << 16
-# blocks each thread must get before one more thread starts: starting a thread
-# and waiting for the last block cost about a block, and several when another
-# program holds a core, so shorter runs gained little and some ran slower than
-# on one thread
-_BLOCKS_PER_WORKER = 32
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -60,12 +57,11 @@ class SimConfig:
     seed: int | None            # None draws fresh entropy once per call
 
     def __post_init__(self) -> None:
-        def integer(value) -> bool:
-            return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-        if not integer(self.n_events) or self.n_events < 1:
+        if not _is_integer(self.n_events) or self.n_events < 1:
             raise ValueError("n_events must be an integer >= 1")
-        if self.seed is not None and (not integer(self.seed) or self.seed < 0):
+        if self.n_events > 2**63 - 1:      # numpy's samplers take 64-bit counts
+            raise ValueError("n_events must be at most 2**63 - 1")
+        if self.seed is not None and (not _is_integer(self.seed) or self.seed < 0):
             raise ValueError("seed must be a non-negative integer")
 
 
@@ -112,22 +108,14 @@ def _event_probabilities(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     return p, a
 
 
-def _block(config: SimConfig, p: np.ndarray, a: np.ndarray,
-           root: np.random.SeedSequence, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pairs, like, accepted) arrays of block b, the one copy of the per-event rule."""
-    m = min(BLOCK_SIZE, int(config.n_events) - b * BLOCK_SIZE)
-    # the b-th child that root.spawn would hand out, derived when the block starts
-    child = np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (b,),
-                                   pool_size=root.pool_size)
-    gen = np.random.Generator(np.random.Philox(child))
-    pairs = gen.integers(0, 4, size=m)
-    like = gen.random(m) < p[pairs]
-    accepted = gen.random(m) < a[pairs]
-    return pairs, like, accepted
-
-
-def _n_blocks(config: SimConfig) -> int:
-    return -(-int(config.n_events) // BLOCK_SIZE)
+def _counts(config: SimConfig, gen: np.random.Generator) -> np.ndarray:
+    """The (4, 2, 2) event counts [configuration, like-flavor, accepted] of one run."""
+    p, a = _event_probabilities(config)
+    pairs = gen.multinomial(int(config.n_events), [0.25] * 4)
+    like = gen.binomial(pairs, p)
+    outcome = np.stack([pairs - like, like], axis=1)    # [configuration, like-flavor]
+    accepted = gen.binomial(outcome, a[:, None])
+    return np.stack([outcome - accepted, accepted], axis=2)
 
 
 def simulate(config: SimConfig) -> SimResult:
@@ -136,18 +124,8 @@ def simulate(config: SimConfig) -> SimResult:
     The estimator (accepted and like) / n_events is unbiased for the
     weighted model prediction; the standard error is binomial.
     """
-    p, a = _event_probabilities(config)
-    root = np.random.SeedSequence(config.seed)
-    n_blocks = _n_blocks(config)
-    workers = max(1, min(_WORKERS, n_blocks // _BLOCKS_PER_WORKER))
-    shares = np.zeros((workers, 16), dtype=np.int64)
-
-    def count_block(w: int, b: int) -> None:
-        pairs, like, accepted = _block(config, p, a, root, b)
-        shares[w] += np.bincount(pairs * 4 + like * 2 + accepted, minlength=16)
-
-    _run_shares(n_blocks, workers, count_block)
-    counts = shares.sum(axis=0).reshape(4, 2, 2)    # [configuration, like-flavor, accepted]
+    # PCG64 seeded by SeedSequence(config.seed); None draws fresh entropy
+    counts = _counts(config, np.random.default_rng(config.seed))
     pair_counts = counts.sum(axis=(1, 2))
     like_counts = counts[:, 1].sum(axis=1)
     accepted_counts = counts[:, :, 1].sum(axis=1)
@@ -185,10 +163,18 @@ def _bias_report(result: SimResult) -> AcceptanceBiasReport:
 
 
 def first_events(config: SimConfig, limit: int = 16) -> tuple[EventRecord, ...]:
-    """The first events of the stream as records, for inspection and tests."""
-    p, a = _event_probabilities(config)
-    root = np.random.SeedSequence(config.seed)
-    blocks = (_block(config, p, a, root, b) for b in range(_n_blocks(config)))
-    rows = (row for block in blocks for row in zip(*block))
-    return tuple(EventRecord(int(i) + 1, bool(like), bool(accepted))
-                 for i, like, accepted in itertools.islice(rows, limit))
+    """The first events of the stream as records, for inspection and tests.
+
+    The records are dealt from the counts ``simulate`` draws for the same seed.
+    """
+    if not _is_integer(limit) or limit < 0:
+        raise ValueError("limit must be a non-negative integer")
+    gen = np.random.default_rng(config.seed)
+    urn = _counts(config, gen).ravel()      # cell 4 i + 2 like + accepted
+    records = []
+    for _ in range(min(limit, config.n_events)):
+        # the event drawn is the one at a uniform position among those left
+        cell = int(np.searchsorted(np.cumsum(urn), gen.integers(urn.sum()), side="right"))
+        urn[cell] -= 1
+        records.append(EventRecord(cell // 4 + 1, bool(cell & 2), bool(cell & 1)))
+    return tuple(records)

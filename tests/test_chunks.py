@@ -1,6 +1,12 @@
-"""Chunked evaluation of the array entry points: same bits, same errors, same threads rule."""
+"""Chunked evaluation of the array entry points: same bits, same errors, same threads rule.
 
+The thread scheduler's failure handling is driven directly through ``_run_shares``.
+"""
+
+import signal
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -237,7 +243,7 @@ def test_the_lowest_failing_item_is_raised_after_every_share_ends():
     two_started, five_failed = threading.Event(), threading.Event()
     ran = []
 
-    def work(share, item):
+    def work(item):
         ran.append(item)
         if item == 2:
             two_started.set()
@@ -253,3 +259,119 @@ def test_the_lowest_failing_item_is_raised_after_every_share_ends():
         _chunks._run_shares(100, 3, work)
     assert 2 in ran and 5 in ran and len(ran) < 100
     assert threading.active_count() == baseline
+
+
+def failing_work(first, fails, exc):
+    """A work(item) that raises exc at an item >= first for which fails(item) holds; and its log.
+
+    Every other item from `first` on waits until the failure, then 20 ms more,
+    so a share that runs ahead cannot run up the count before the failure.
+    """
+    failed = threading.Event()
+    calls = []
+
+    def work(item):
+        calls.append(item)
+        if item >= first:
+            if fails(item):
+                failed.set()
+                raise exc
+            failed.wait(timeout=10)
+            time.sleep(0.02)
+
+    return work, calls
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_a_failing_item_stops_every_share_and_is_raised(workers):
+    work, calls = failing_work(5, lambda item: item == 5, RuntimeError("item 5 failed"))
+    baseline = threading.active_count()
+    with pytest.raises(RuntimeError, match="item 5 failed"):
+        _chunks._run_shares(200, workers, work)
+    assert 5 in calls and len(calls) <= 5 + 2 * workers
+    assert threading.active_count() == baseline
+
+
+def test_an_interrupt_in_the_caller_stops_the_helpers():
+    def in_caller(item):
+        return threading.current_thread() is threading.main_thread()
+
+    # the caller's first item from 4 on raises
+    work, calls = failing_work(4, in_caller, KeyboardInterrupt())
+    baseline = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        _chunks._run_shares(200, 2, work)
+    assert len(calls) <= 4 + 2 * 2
+    assert threading.active_count() == baseline
+
+
+def test_a_helper_that_cannot_start_stops_the_others(monkeypatch):
+    calls, started = [], []
+    start = threading.Thread.start
+
+    def second_start_fails(thread):
+        if started:
+            raise RuntimeError("can't start new thread")
+        started.append(thread)
+        start(thread)
+
+    def slow_work(item):
+        calls.append(item)
+        time.sleep(0.005)
+
+    baseline = threading.active_count()
+    monkeypatch.setattr(threading.Thread, "start", second_start_fails)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        _chunks._run_shares(200, 3, slow_work)
+    monkeypatch.undo()
+    assert len(started) == 1 and not started[0].is_alive()
+    assert len(calls) < 200
+    assert threading.active_count() == baseline
+
+
+def test_an_interrupt_while_waiting_is_raised_once_the_helpers_end():
+    # the caller has run every other item and waits for the helper's when
+    # SIGINT arrives; _run_shares raises only after the helper has finished
+    calls, finished = [], []
+
+    def helper_interrupts(item):
+        calls.append(item)
+        if threading.current_thread() is not threading.main_thread():
+            deadline = time.monotonic() + 10
+            while len(calls) < 40 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            time.sleep(0.1)
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            time.sleep(0.3)
+            finished.append(item)
+
+    baseline = threading.active_count()
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            _chunks._run_shares(40, 2, helper_interrupts)
+    finally:
+        signal.signal(signal.SIGINT, handler)
+    assert len(finished) == 1
+    assert threading.active_count() == baseline
+
+
+def test_outputs_survive_forced_thread_switching(monkeypatch):
+    # more threads than cores, switching as often as the interpreter allows
+    weights = EfficiencyWeights(callable_weight(0.3), 0.13, 0.03, callable_weight(1.1))
+    t_a = np.linspace(0.5, 5.0, 20 * 64 + 7) / G
+    t_b = t_a[::-1].copy()
+    use_chunks(monkeypatch, SERIAL, 1)
+    expected = outcomes(KAON, RhoProfile.zero(), weights, t_a, t_b)
+    use_chunks(monkeypatch, 64, 8)
+    started = count_thread_starts(monkeypatch)
+    baseline = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = outcomes(KAON, RhoProfile.zero(), weights, t_a, t_b)
+    finally:
+        sys.setswitchinterval(interval)
+    assert started and threading.active_count() == baseline
+    assert len(got) == len(expected)
+    assert all(same(x, y) for x, y in zip(got, expected))

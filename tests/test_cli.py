@@ -319,7 +319,7 @@ def test_module_entry_points_run_the_cli(module, capsys):
     (["thresholds"], []),
     (["curve", "--preset", "fig3"], []),
     (["fit", "--preset", "fig3", "--eta", "0.3", "--grid", "0.2:5:20"], ["scipy.optimize"]),
-    # enough blocks for simulate to start a helper thread on a multi-core host
+    # the event counts are drawn with numpy alone, whatever their number
     (["mc", "--preset", "fig3", "--grid", "1:1:1", "--n-events", "5000000"], []),
     # enough grid points (32 chunks) for the tables to start a helper thread on a multi-core host
     (["curve", "--preset", "fig3", "--grid", "0.2:5:524288"], []),
@@ -337,8 +337,8 @@ def test_commands_import_only_the_scipy_they_need(argv, loaded):
     assert proc.returncode == 0, proc.stderr
     modules = json.loads(proc.stdout)
     if not loaded:
-        # mc and large curves run their threads without concurrent.futures, whose
-        # import costs ~15 ms; fit gets it from scipy.optimize, which imports it itself
+        # large curves run their threads without concurrent.futures, whose import
+        # costs ~15 ms; fit gets it from scipy.optimize, which imports it itself
         assert modules == []
     # scipy.optimize brings its own dependencies, but not the quadrature
     assert all(name in modules for name in loaded)
@@ -390,7 +390,8 @@ def test_mc_seed_changes_stream(capsys):
     assert out1 != out2
 
 
-@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--n-events", "0")])
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--n-events", "0"),
+                                         ("--n-events", "100000000000000000000")])
 def test_mc_bad_seed_or_event_count_is_one_error_line(capsys, flag, value):
     code, out, err = run(capsys, "mc", "--preset", "fig3", "--grid", "1:1:1", flag, value)
     assert code == 1 and out == ""

@@ -1,5 +1,3 @@
-import signal
-import sys
 import threading
 import time
 
@@ -8,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import stats
 
-from mesonbell import montecarlo
 from mesonbell.constants import BMESON, KAON
 from mesonbell.fitting import default_grid
 from mesonbell.lrm import EfficiencyWeights, RhoProfile, joint_probabilities, lrm_like_joint
 from mesonbell.montecarlo import (
-    BLOCK_SIZE,
     SimConfig,
     _bias_report,
     acceptance_bias_report,
@@ -112,6 +109,29 @@ def test_n_events_validation():
     for n_events in (0, -5, 2.7, 1e6, True, "100", None, np.float64(3.0)):
         with pytest.raises(ValueError, match="n_events must be an integer >= 1"):
             make_config(n_events=n_events)
+    # numpy's samplers take 64-bit counts; 2**63 used to reach them and overflow
+    for n_events in (2**63, 10**20):
+        with pytest.raises(ValueError, match="n_events must be at most 2\\*\\*63 - 1"):
+            make_config(n_events=n_events)
+
+
+def test_the_largest_event_count_is_drawn_at_once():
+    start = time.perf_counter()
+    result = simulate(make_config(n_events=2**63 - 1))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5
+    assert result.n_events == 2**63 - 1
+    assert int(result.pair_counts.sum()) == 2**63 - 1
+
+
+def test_short_runs_stay_on_the_calling_thread(monkeypatch):
+    # and so do long ones: the counts are drawn, not generated event by event
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+    for n_events in (1, 1 << 22, 10_000_000, 2**63 - 1):
+        assert int(simulate(make_config(n_events=n_events)).pair_counts.sum()) == n_events
+        assert len(first_events(make_config(n_events=n_events), limit=3)) == min(3, n_events)
+    assert started == []
 
 
 def test_seed_validation():
@@ -141,6 +161,16 @@ def test_first_events_match_the_stream_counts():
         assert sum(r.like_flavor_outcome for r in members) == result.like_counts[i]
     assert first_events(config, limit=5) == records[:5]
     assert first_events(config, limit=0) == ()
+    assert first_events(config, limit=1000) == records
+
+
+def test_first_events_limit_validation():
+    # True used to give one record, the others islice's message
+    config = make_config(n_events=64, seed=3)
+    for limit in (True, 2.5, -1, "3", None, np.float64(3.0)):
+        with pytest.raises(ValueError, match="limit must be a non-negative integer"):
+            first_events(config, limit)
+    assert first_events(config, np.int64(5)) == first_events(config, 5)
 
 
 def test_tiny_negative_joints_are_outside_the_validity_domain():
@@ -178,226 +208,59 @@ def test_bmeson_configuration():
     assert abs(result.estimate - analytic) < 4.0 * result.stderr
 
 
-def reference_blocks(config, entropy):
-    """(pairs, like, accepted) per block; block b draws from the b-th child of
-    SeedSequence(entropy).spawn, in block order."""
-    p = joint_probabilities(config.params, config.rho, config.t.t_a, config.t.t_b)
-    a = np.array(config.weights.as_tuple())
-    n_blocks = -(-config.n_events // BLOCK_SIZE)
-    for b, child in enumerate(np.random.SeedSequence(entropy).spawn(n_blocks)):
-        m = min(BLOCK_SIZE, config.n_events - b * BLOCK_SIZE)
-        gen = np.random.Generator(np.random.Philox(child))
-        pairs = gen.integers(0, 4, size=m)
-        like = gen.random(m) < p[pairs]
-        acc = gen.random(m) < a[pairs]
-        yield pairs, like, acc
-
-
-def reference_counts(config, entropy):
-    """Counts rows (pairs, like, accepted, accepted-like) x configuration."""
-    counts = np.zeros((4, 4), dtype=np.int64)
-    for pairs, like, acc in reference_blocks(config, entropy):
-        for row, keep in enumerate((np.ones(len(pairs), dtype=bool), like, acc, like & acc)):
-            counts[row] += np.bincount(pairs[keep], minlength=4)
-    return counts
-
-
 def result_counts(result):
     return np.array([result.pair_counts, result.like_counts,
                      result.accepted_counts, result.accepted_like_counts])
 
 
-def use_threads(mp, workers):
-    """Make simulate run on `workers` threads whatever its block count."""
-    mp.setattr(montecarlo, "_WORKERS", workers)
-    mp.setattr(montecarlo, "_BLOCKS_PER_WORKER", 1)
+def cells(result):
+    """The 16 event counts [configuration, like-flavor, accepted] of a result."""
+    pairs, like, accepted, accepted_like = result_counts(result)
+    return np.stack([np.stack([pairs - like - accepted + accepted_like, accepted - accepted_like], axis=1),
+                     np.stack([like - accepted_like, accepted_like], axis=1)], axis=1)
 
 
-_SPECIES = {"kaon": (KAON, (1.0, 0.13, 0.03, 0.04)), "bmeson": (BMESON, (0.52, 0.08, 0.52, 0.08))}
-
-
-@settings(max_examples=40, deadline=None)
-@given(species=st.sampled_from(sorted(_SPECIES)), seed=st.integers(0, 2**63),
-       n_events=st.sampled_from([1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1,
-                                 3 * BLOCK_SIZE + 1234]),
-       workers=st.sampled_from([1, 2, 3, 8]))
-def test_block_streams_are_the_spawned_children(species, seed, n_events, workers):
-    # whatever the thread count, the counts are those of the serial block stream
-    params, weights = _SPECIES[species]
-    config = make_config(weights=weights, n_events=n_events, seed=seed, params=params,
+@pytest.mark.parametrize("params, weights, seed", [(KAON, (1.0, 0.13, 0.03, 0.04), 3),
+                                                   (BMESON, (0.52, 0.08, 0.52, 0.08), 4)])
+def test_counts_follow_the_event_law(params, weights, seed):
+    # Pearson chi-square of the 16 cells against n (1/4) P^l (1-P)^(1-l) a^s (1-a)^(1-s)
+    config = make_config(weights=weights, n_events=10_000_000, seed=seed, params=params,
                          t=TimePair(1 / params.gamma_s, 2 / params.gamma_s))
-    with pytest.MonkeyPatch.context() as mp:
-        use_threads(mp, workers)
-        result = simulate(config)
-    assert np.array_equal(result_counts(result), reference_counts(config, seed))
+    p = joint_probabilities(params, ZERO, config.t.t_a, config.t.t_b)
+    a = np.asarray(weights)
+    like = np.stack([1.0 - p, p], axis=1)[:, :, None]
+    accepted = np.stack([1.0 - a, a], axis=1)[:, None, :]
+    expected = config.n_events * 0.25 * like * accepted
+    observed = cells(simulate(config))
+    assert observed.sum() == config.n_events
+    assert np.all(observed[expected == 0.0] == 0)
+    nonzero = expected > 0.0
+    chi2 = float((((observed - expected) ** 2)[nonzero] / expected[nonzero]).sum())
+    assert stats.chi2.sf(chi2, nonzero.sum() - 1) > 1e-6
 
 
-def test_counts_survive_forced_thread_switching(monkeypatch):
-    # more threads than cores, switching as often as the interpreter allows
-    use_threads(monkeypatch, 8)
-    config = make_config(n_events=20 * BLOCK_SIZE + 7, seed=11)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        result = simulate(config)
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array_equal(result_counts(result), reference_counts(config, 11))
-
-
-def test_short_runs_stay_on_the_calling_thread(monkeypatch):
-    # one more thread per _BLOCKS_PER_WORKER blocks, up to _WORKERS
-    monkeypatch.setattr(montecarlo, "_WORKERS", 8)
-    monkeypatch.setattr(montecarlo, "_BLOCKS_PER_WORKER", 4)
-    started = []
-    start = threading.Thread.start
-
-    def counting_start(thread):
-        started.append(thread)
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", counting_start)
-    for n_blocks, helpers in [(1, 0), (7, 0), (8, 1), (11, 1), (12, 2), (40, 7)]:
-        started.clear()
-        config = make_config(n_events=n_blocks * BLOCK_SIZE, seed=n_blocks)
-        result = simulate(config)
-        assert len(started) == helpers, n_blocks
-        assert np.array_equal(result_counts(result), reference_counts(config, n_blocks))
-
-
-def test_first_events_cross_the_block_boundary_in_stream_order():
-    config = make_config(weights=(1.0, 0.13, 0.03, 0.04), n_events=2 * BLOCK_SIZE, seed=9)
-    stream = [np.concatenate(column)[:BLOCK_SIZE + 10]
-              for column in zip(*reference_blocks(config, 9))]
-    expected = [(int(i) + 1, bool(like), bool(acc)) for i, like, acc in zip(*stream)]
-    records = first_events(config, limit=BLOCK_SIZE + 10)
-    assert [(r.initial_pair, r.like_flavor_outcome, r.accepted) for r in records] == expected
-
-
-def test_unseeded_runs_draw_entropy_once_per_call(monkeypatch):
-    roots = []
-    block = montecarlo._block
-
-    def recording_block(config, p, a, root, b):
-        roots.append(root)
-        return block(config, p, a, root, b)
-
-    monkeypatch.setattr(montecarlo, "_block", recording_block)
-    use_threads(monkeypatch, 3)
-    config = make_config(n_events=3 * BLOCK_SIZE + 1234, seed=None)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**63),
+       n_events=st.one_of(st.integers(1, 10**6), st.integers(1, 2**63 - 1)),
+       weights=st.lists(st.sampled_from([0.0, 1.0, 0.37]), min_size=4, max_size=4))
+def test_counts_respect_the_exact_zeros_and_ones(seed, n_events, weights):
+    # the saturated profile makes P1 = P3 = P4 = 0 exactly
+    rho = RhoProfile.saturate_upper_short()
+    config = make_config(weights=weights, n_events=n_events, seed=seed, rho=rho,
+                         t=TimePair(0.8 / G, 1.6 / G))
+    p = joint_probabilities(KAON, rho, config.t.t_a, config.t.t_b)
+    a = np.asarray(weights)
     result = simulate(config)
-    assert len(roots) == 4 and all(root is roots[0] for root in roots)
-    assert np.array_equal(result_counts(result), reference_counts(config, roots[0].entropy))
-    first = roots[0]
-    roots.clear()
-    simulate(config)
-    assert len(roots) == 4 and all(root is roots[0] for root in roots)
-    assert roots[0].entropy != first.entropy
+    pairs, like, accepted, accepted_like = result_counts(result)
+    assert int(pairs.sum()) == n_events
+    assert np.all((like <= pairs) & (accepted <= pairs))
+    assert np.all((accepted_like <= like) & (accepted_like <= accepted))
+    assert np.all(cells(result) >= 0)
+    assert np.all(like[p == 0.0] == 0)
+    assert np.all(accepted[a == 0.0] == 0)
+    assert np.array_equal(accepted[a == 1.0], pairs[a == 1.0])
 
 
-def patch_failing_block(monkeypatch, workers, first, fails, exc):
-    """Make a block b >= first for which fails(b) holds raise exc; returns the blocks started.
-
-    Every other block from `first` on waits until the failure, then 20 ms more,
-    so a share that runs ahead cannot run up the count before the failure.
-    """
-    block = montecarlo._block
-    failed = threading.Event()
-    calls = []
-
-    def failing_block(config, p, a, root, b):
-        calls.append(b)
-        if b >= first:
-            if fails(b):
-                failed.set()
-                raise exc
-            failed.wait(timeout=10)
-            time.sleep(0.02)
-        return block(config, p, a, root, b)
-
-    monkeypatch.setattr(montecarlo, "_block", failing_block)
-    use_threads(monkeypatch, workers)
-    return calls
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3, 8])
-def test_a_failing_block_stops_every_share_and_is_raised(monkeypatch, workers):
-    calls = patch_failing_block(monkeypatch, workers, 5, lambda b: b == 5,
-                                RuntimeError("block 5 failed"))
-    baseline = threading.active_count()
-    with pytest.raises(RuntimeError, match="block 5 failed"):
-        simulate(make_config(n_events=200 * BLOCK_SIZE))
-    assert 5 in calls and len(calls) <= 5 + 2 * workers
-    assert threading.active_count() == baseline
-
-
-def test_an_interrupt_in_the_caller_stops_the_helpers(monkeypatch):
-    def in_caller(b):
-        return threading.current_thread() is threading.main_thread()
-
-    # the caller's first block from 4 on raises
-    calls = patch_failing_block(monkeypatch, 2, 4, in_caller, KeyboardInterrupt())
-    baseline = threading.active_count()
-    with pytest.raises(KeyboardInterrupt):
-        simulate(make_config(n_events=200 * BLOCK_SIZE))
-    assert len(calls) <= 4 + 2 * 2
-    assert threading.active_count() == baseline
-
-
-def test_a_helper_that_cannot_start_stops_the_others(monkeypatch):
-    block = montecarlo._block
-    calls, started = [], []
-    start = threading.Thread.start
-
-    def second_start_fails(thread):
-        if started:
-            raise RuntimeError("can't start new thread")
-        started.append(thread)
-        start(thread)
-
-    def slow_block(config, p, a, root, b):
-        calls.append(b)
-        time.sleep(0.005)
-        return block(config, p, a, root, b)
-
-    monkeypatch.setattr(montecarlo, "_block", slow_block)
-    use_threads(monkeypatch, 3)
-    baseline = threading.active_count()
-    monkeypatch.setattr(threading.Thread, "start", second_start_fails)
-    with pytest.raises(RuntimeError, match="can't start new thread"):
-        simulate(make_config(n_events=200 * BLOCK_SIZE))
-    monkeypatch.undo()
-    assert len(started) == 1 and not started[0].is_alive()
-    assert len(calls) < 200
-    assert threading.active_count() == baseline
-
-
-def test_an_interrupt_while_waiting_is_raised_once_the_helpers_end(monkeypatch):
-    # the caller has run every other block and waits for the helper's when
-    # SIGINT arrives; simulate raises only after the helper has finished
-    block = montecarlo._block
-    calls, finished = [], []
-
-    def helper_interrupts_block(config, p, a, root, b):
-        calls.append(b)
-        if threading.current_thread() is not threading.main_thread():
-            deadline = time.monotonic() + 10
-            while len(calls) < 40 and time.monotonic() < deadline:
-                time.sleep(0.005)
-            time.sleep(0.1)
-            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
-            time.sleep(0.3)
-            finished.append(b)
-        return block(config, p, a, root, b)
-
-    monkeypatch.setattr(montecarlo, "_block", helper_interrupts_block)
-    use_threads(monkeypatch, 2)
-    baseline = threading.active_count()
-    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
-    try:
-        with pytest.raises(KeyboardInterrupt):
-            simulate(make_config(n_events=40 * BLOCK_SIZE))
-    finally:
-        signal.signal(signal.SIGINT, handler)
-    assert len(finished) == 1
-    assert threading.active_count() == baseline
+def test_unseeded_runs_draw_entropy_once_per_call():
+    config = make_config(n_events=1_000_000, seed=None)
+    assert not np.array_equal(result_counts(simulate(config)), result_counts(simulate(config)))
