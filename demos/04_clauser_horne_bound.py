@@ -7,7 +7,7 @@ import numpy as np
 import mesonbell as mb
 
 # brute force over the local deterministic strategies (fire / don't fire per
-# setting per side) plus random convex mixtures
+# setting per side); CHS is linear, so no convex mixture of them does better
 report = mb.lhv_bound_brute_force(n_mixtures=10_000)
 print("local strategies:")
 for s in mb.bell.all_deterministic_strategies():
@@ -15,7 +15,7 @@ for s in mb.bell.all_deterministic_strategies():
     print(f"  fire(1,1',2,2') = ({int(s.fire_1)},{int(s.fire_1p)},"
           f"{int(s.fire_2)},{int(s.fire_2p)})   CHS = {value:+.2f}")
 print(f"deterministic maximum: {report.max_deterministic}")
-print(f"maximum over {report.n_mixtures} random mixtures: {report.max_mixture:.4f}")
+print(f"maximum over all convex mixtures: {report.max_mixture}")
 
 # the quantum singlet beats the bound
 c = mb.singlet_photon_correlations(0.0, np.pi / 4, np.pi / 8, 3 * np.pi / 8)

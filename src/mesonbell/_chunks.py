@@ -1,12 +1,12 @@
 """Time-grid checks, chunked array evaluation and the thread scheduler.
 
 ``_run_shares`` runs numbered work items on the calling thread plus helper
-threads.  ``_on_chunks`` hands it the fixed-size chunks of a time grid, so
-every array entry point (``qm_like_joint``, ``qm_unlike_joint``,
-``joint_probabilities``, ``lrm_like_joint`` and the fitter's tables) evaluates
-its kernel one cache-sized chunk at a time.  Each output element depends only
-on its own row, so the outputs are the same bits whatever the chunking or
-thread count.
+threads.  ``_on_chunks``, the one grid driver, lays the caller's times out as
+a flat grid and hands it the fixed-size chunks, so every array entry point
+(``qm_like_joint``, ``qm_unlike_joint``, ``joint_probabilities``,
+``lrm_like_joint``, the fitter's tables and ``evaluate_gap``) is one call of
+it.  Each output element depends only on its own row, so the outputs are the
+same bits whatever the chunking or thread count.
 """
 
 from __future__ import annotations
@@ -91,35 +91,42 @@ def _run_shares(n_items: int, workers: int, work: Callable[[int], None]) -> None
         raise min(errors, key=lambda error: error[0])[1]
 
 
-def _grid(t_a, t_b) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """(shape, t_a, t_b): the times checked, broadcast to their common shape and flattened.
+def _on_chunks(kernel: Callable, t_a, t_b, *widths: tuple[int, ...], rows_at: Callable | None = None):
+    """Evaluate kernel over the time grid (t_a, t_b) in chunks of _CHUNK points.
 
-    Two 1-D arrays of one shape are used as they are, strided or not.
+    The times are checked, broadcast to one grid and flattened (two 1-D arrays
+    of one shape are used as they are, strided or not).  ``rows_at(t_a, t_b)``,
+    if given, returns per-point rows (k values on the last axis) that are
+    broadcast over the grid.  ``kernel(t_a, t_b, [rows,] *outputs)`` fills
+    each chunk of one float output of shape (n, *width) per width, on one more
+    thread per _CHUNKS_PER_WORKER chunks.  Returns the grid times and the
+    outputs shaped (*grid, *width); a 0-d one comes back as a Python float.
     """
     t_a = np.asarray(t_a, dtype=float)
     t_b = np.asarray(t_b, dtype=float)
     _check_times(t_a, t_b)
     if t_a.ndim == 1 and t_a.shape == t_b.shape:
-        return t_a.shape, t_a, t_b
-    t_a, t_b = np.broadcast_arrays(t_a, t_b)
-    return t_a.shape, t_a.ravel(), t_b.ravel()
-
-
-def _on_chunks(kernel: Callable, t_a: np.ndarray, t_b: np.ndarray, *widths: tuple[int, ...]):
-    """Evaluate kernel over the flat time grid (t_a, t_b) of _grid in chunks of _CHUNK points.
-
-    Preallocates one float output of shape (n, *width) per width and calls
-    ``kernel(rows, t_a[rows], t_b[rows], *(out[rows] for out in outputs))``
-    once per chunk of rows, on one more thread per _CHUNKS_PER_WORKER chunks.
-    Returns the outputs.
-    """
-    outputs = [np.empty((t_a.size, *width)) for width in widths]
+        grid, inputs = t_a.shape, [t_a, t_b]
+    else:
+        broadcast = np.broadcast_arrays(t_a, t_b)
+        grid, inputs = broadcast[0].shape, [x.ravel() for x in broadcast]
+    n = inputs[0].size
+    if rows_at is not None:
+        # a row given once (constant weights) is broadcast over the grid, not copied per point
+        rows = rows_at(t_a, t_b)
+        inputs.append(np.broadcast_to(rows, grid + rows.shape[-1:]).reshape(n, rows.shape[-1]))
+    outputs = [np.empty((n, *width)) for width in widths]
+    arrays = inputs + outputs
     size = _CHUNK
-    n_chunks = -(-t_a.size // size)
+    n_chunks = -(-n // size)
 
     def work(chunk: int) -> None:
-        rows = slice(chunk * size, (chunk + 1) * size)
-        kernel(rows, t_a[rows], t_b[rows], *[out[rows] for out in outputs])
+        part = slice(chunk * size, (chunk + 1) * size)
+        kernel(*[x[part] for x in arrays])
 
     _run_shares(n_chunks, max(1, min(_WORKERS, n_chunks // _CHUNKS_PER_WORKER)), work)
-    return outputs
+    results = inputs[:2] + outputs
+    if grid == (n,):    # the flat layout is the grid's own
+        return results
+    shaped = [x.reshape(grid + x.shape[1:]) for x in results]
+    return [x if x.ndim else float(x) for x in shaped]

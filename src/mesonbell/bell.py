@@ -7,9 +7,9 @@ and single detection probabilities
 
 is bounded above by zero for every local realistic model, while quantum
 mechanics can push it positive for suitable settings.  The local bound is
-verified here by brute force over the deterministic strategies (each side
-fires or not per setting, 16 in total) together with random convex mixtures,
-which exhaust the local polytope since CHS is linear.
+found by brute force over the deterministic strategies (each side fires or
+not per setting, 16 in total).  Their convex mixtures make up the local
+polytope, and CHS is linear, so no mixture exceeds the vertex maximum.
 
 A loophole-free violation needs a minimum total detection efficiency:
 0.81 for maximally entangled pairs, 0.67 for non-maximally entangled ones.
@@ -21,8 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "CorrelationSet",
@@ -120,28 +118,17 @@ class BruteForceReport:
 
 
 def lhv_bound_brute_force(n_mixtures: int = 10_000, seed: int = 20_240_811) -> BruteForceReport:
-    """Maximum CHS over all 16 deterministic local strategies and random mixtures.
+    """Maximum CHS over the 16 deterministic local strategies and over their mixtures.
 
-    The deterministic maximum is exactly 0; convex mixtures cannot exceed it
-    because the sum is linear.  The report carries the attained maxima.
+    The deterministic maximum is exactly 0.  CHS is linear, so no convex
+    mixture of the strategies exceeds it: ``max_mixture``, the supremum over
+    all mixtures, is that same maximum, found without sampling.
+    ``n_mixtures`` is carried into the report as passed; ``seed`` is ignored.
     """
-    strategies = all_deterministic_strategies()
-    values = [chs_sum(s.correlation_set()) for s in strategies]
-    best = int(np.argmax(values))
-
-    rng = np.random.default_rng(seed)
-    table = np.array([s.correlation_set()._astuple() for s in strategies])
-    # uniform draws on the 16-simplex via normalized exponentials
-    lam = rng.exponential(size=(n_mixtures, len(strategies)))
-    lam /= lam.sum(axis=1, keepdims=True)
-    mixed = lam @ table
-    mixture_chs = mixed[:, 0] - mixed[:, 1] + mixed[:, 2] + mixed[:, 3] - mixed[:, 4] - mixed[:, 5]
-    return BruteForceReport(
-        max_deterministic=float(max(values)),
-        best_strategy=strategies[best],
-        n_mixtures=int(n_mixtures),
-        max_mixture=float(mixture_chs.max()) if n_mixtures else float("-inf"),
-    )
+    best = max(all_deterministic_strategies(), key=lambda s: chs_sum(s.correlation_set()))
+    bound = chs_sum(best.correlation_set())
+    return BruteForceReport(max_deterministic=bound, best_strategy=best,
+                            n_mixtures=int(n_mixtures), max_mixture=bound)
 
 
 def singlet_photon_correlations(theta_1: float, theta_1p: float,

@@ -130,7 +130,8 @@ def species_params(species: str, config: str | Path | Mapping | None = None) -> 
     """Registry oscillation parameters for ``species`` ("kaon" or "bmeson").
 
     ``config`` may be a mapping or a path to a JSON file keyed by species tag;
-    only the keys present override the defaults.
+    only the keys present override the defaults.  Malformed overrides (not an
+    object, an unknown key, a value that is not an int or float) raise ValueError.
     """
     try:
         params = SPECIES[species]
@@ -139,11 +140,25 @@ def species_params(species: str, config: str | Path | Mapping | None = None) -> 
         raise ValueError(f"unknown species {species!r}; expected one of: {known}") from None
     if config is None:
         return params
-    overrides = _load_overrides(config).get(species, {})
+    overrides = _load_overrides(config)
+    if not isinstance(overrides, Mapping):
+        raise ValueError(f"constant overrides must be an object keyed by species, got {overrides!r}")
+    overrides = overrides.get(species, {})
+    if not isinstance(overrides, Mapping):
+        raise ValueError(f"overrides for {species} must be an object, got {overrides!r}")
     unknown = set(overrides) - set(_OVERRIDABLE)
     if unknown:
         raise ValueError(f"unknown override keys for {species}: {sorted(unknown)}")
-    return replace(params, **{k: float(v) for k, v in overrides.items()})
+    values = {}
+    for key, value in overrides.items():
+        # bool is an int subclass, but true is not a rate
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"override {species}.{key} must be a number, got {value!r}")
+        try:
+            values[key] = float(value)
+        except OverflowError:
+            raise ValueError(f"override {species}.{key} is too large for a float") from None
+    return replace(params, **values)
 
 
 def branching_records(parent: str | None = None) -> tuple[BranchingRecord, ...]:

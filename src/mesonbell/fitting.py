@@ -16,20 +16,21 @@ There is also the pointwise "trivial" assignment a_i = QM / P_i that
 reproduces QM identically wherever it is feasible, i.e. wherever the
 required ratios stay inside [0, 1].
 
-The (P, QM) tables and ``evaluate_gap`` evaluate their grids in chunks on
-the thread scheduler of ``mesonbell._chunks``; grids under 2^19 points, the
-fit grids included, stay on the calling thread.
+The (P, QM) tables and ``evaluate_gap`` are each one call of the grid
+driver of ``mesonbell._chunks``, with columns at least 1-D; grids under
+2^19 points, the fit grids included, stay on the calling thread.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator
 
 import numpy as np
 
 from .constants import OscillationParams
-from ._chunks import _grid, _on_chunks
+from ._chunks import _on_chunks
 from .lrm import EfficiencyWeights, RhoProfile, _joint_columns, _store_joints, _weight_rows, _weighted_rate
 from .quantum import _joint
 
@@ -94,16 +95,14 @@ def _table_chunk(params, rho, t_a, t_b, p, qm):
     """Fill one chunk of the (P, qm) tables; returns its P1..P4 in time order and swapped pairs."""
     columns, swapped = _joint_columns(params, rho, t_a, t_b)
     _store_joints(columns, swapped, p)
-    _joint(params, t_a, t_b, np.sin, qm)
+    _joint(params, np.sin, t_a, t_b, qm)
     return columns, swapped
 
 
 def _tables(params, rho, t_a, t_b):
     """(P, qm) on the grid (t_a, t_b), at least 1-D."""
-    shape, t_a, t_b = _grid(t_a, t_b)
-    p, qm = _on_chunks(lambda rows, *chunk: _table_chunk(params, rho, *chunk), t_a, t_b, (4,), ())
-    shape = shape or (1,)
-    return p.reshape(*shape, 4), qm.reshape(shape)
+    _, _, p, qm = _on_chunks(partial(_table_chunk, params, rho), np.atleast_1d(t_a), t_b, (4,), ())
+    return p, qm
 
 
 @dataclass(frozen=True)
@@ -277,15 +276,12 @@ def evaluate_gap(params: OscillationParams, rho: RhoProfile, weights: Efficiency
 
     Time-dependent weights are evaluated once, at the caller's whole grid.
     """
-    shape, t_a, t_b = _grid(grid_t_a, grid_t_b)
-    a = _weight_rows(weights, grid_t_a, grid_t_b, shape)
-
-    def kernel(rows, t_a, t_b, p, qm, lrm, gap):
+    def kernel(t_a, t_b, a, p, qm, lrm, gap):
         columns, swapped = _table_chunk(params, rho, t_a, t_b, p, qm)
-        _weighted_rate(columns, swapped, a[rows], lrm)
+        _weighted_rate(columns, swapped, a, lrm)
         np.subtract(lrm, qm, out=gap)
 
-    p, qm, lrm, gap = _on_chunks(kernel, t_a, t_b, (4,), (), (), ())
-    shape = shape or (1,)
-    return CurveTable(t_a=t_a.reshape(shape), t_b=t_b.reshape(shape), qm=qm.reshape(shape),
-                      lrm=lrm.reshape(shape), p=p.reshape(*shape, 4), gap=gap.reshape(shape))
+    # a 1-D t_a keeps the table at least 1-D
+    t_a, t_b, p, qm, lrm, gap = _on_chunks(kernel, np.atleast_1d(grid_t_a), grid_t_b, (4,), (), (), (),
+                                           rows_at=partial(_weight_rows, weights))
+    return CurveTable(t_a=t_a, t_b=t_b, qm=qm, lrm=lrm, p=p, gap=gap)

@@ -68,22 +68,24 @@ initial hidden configuration.  The observed like-flavor rate is then
 which is where hidden-variable-correlated detection (the detection loophole)
 enters: unequal weights bias the post-selected sample.
 
-``joint_probabilities`` and ``lrm_like_joint`` evaluate large time grids in
-chunks of 2^14 points, spread over threads for grids of 2^19 points or more
-(``mesonbell._chunks``).  Every value depends only on its own time pair, so
-the output is the same bits whatever the chunking, and an inadmissible rho
-raises at the first offending time pair in array order.
+``joint_probabilities`` (the times' broadcast shape plus a last axis of 4)
+and ``lrm_like_joint`` (that shape, or a float at two scalar times) are each
+one call of the grid driver of ``mesonbell._chunks``.  Every value depends
+only on its own time pair, so the output is the same bits whatever the
+chunking, and an inadmissible rho raises at the first offending time pair
+in array order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from ._chunks import _check_times, _grid, _on_chunks
+from ._chunks import _check_times, _on_chunks
 from .constants import OscillationParams
 
 __all__ = [
@@ -394,13 +396,11 @@ def joint_probabilities(params: OscillationParams, rho: RhoProfile, t_a, t_b):
 
     Either time order: for t_a > t_b the sides are relabelled (module docstring).
     """
-    shape, t_a, t_b = _grid(t_a, t_b)
-
-    def kernel(rows, t_a, t_b, out):
+    def kernel(t_a, t_b, out):
         _store_joints(*_joint_columns(params, rho, t_a, t_b), out)
 
-    (p,) = _on_chunks(kernel, t_a, t_b, (4,))
-    return p.reshape(*shape, 4)
+    _, _, p = _on_chunks(kernel, t_a, t_b, (4,))
+    return p
 
 
 @dataclass(frozen=True)
@@ -456,19 +456,18 @@ class EfficiencyWeights:
 def _validate_weight_values(values: np.ndarray) -> None:
     if np.any(~np.isfinite(values)) or np.any(values < 0.0) or np.any(values > 1.0):
         bad = values[~(np.isfinite(values) & (values >= 0.0) & (values <= 1.0))]
-        raise WeightRangeError(f"acceptance weights must lie in [0, 1]; got {bad.flat[0]!r}")
+        raise WeightRangeError(f"acceptance weights must lie in [0, 1]; got {float(bad.flat[0])!r}")
 
 
-def _weight_rows(weights: EfficiencyWeights, t_a, t_b, shape) -> np.ndarray:
-    """a1..a4 as (n, 4) rows over the flattened grid shape.
+def _weight_rows(weights: EfficiencyWeights, t_a, t_b) -> np.ndarray:
+    """a1..a4 at the times (t_a, t_b), to be broadcast over their grid.
 
-    Plain numbers become one row broadcast over the grid, not n copies of it;
-    otherwise ``weights.values`` is called once with the caller's (t_a, t_b).
+    Plain numbers give one (4,) row, not a copy of it per time pair; otherwise
+    ``weights.values`` is called once with (t_a, t_b).
     """
-    n = math.prod(shape)
     if all(not callable(w) and np.ndim(w) == 0 for w in weights.as_tuple()):
-        return np.broadcast_to(np.array(weights.as_tuple(), dtype=float), (n, 4))
-    return np.broadcast_to(weights.values(t_a, t_b), (*shape, 4)).reshape(n, 4)
+        return np.array(weights.as_tuple(), dtype=float)
+    return weights.values(t_a, t_b)
 
 
 def lrm_like_joint(params: OscillationParams, rho: RhoProfile, weights: EfficiencyWeights, t_a, t_b):
@@ -476,12 +475,8 @@ def lrm_like_joint(params: OscillationParams, rho: RhoProfile, weights: Efficien
 
     Time-dependent weights are evaluated at the caller's (t_a, t_b).
     """
-    shape, flat_a, flat_b = _grid(t_a, t_b)
-    a = _weight_rows(weights, t_a, t_b, shape)
+    def kernel(t_a, t_b, a, out):
+        _weighted_rate(*_joint_columns(params, rho, t_a, t_b), a, out)
 
-    def kernel(rows, t_a, t_b, out):
-        _weighted_rate(*_joint_columns(params, rho, t_a, t_b), a[rows], out)
-
-    (out,) = _on_chunks(kernel, flat_a, flat_b, ())
-    out = out.reshape(shape)
-    return out if out.ndim else float(out)
+    _, _, rate = _on_chunks(kernel, t_a, t_b, (), rows_at=partial(_weight_rows, weights))
+    return rate

@@ -35,9 +35,10 @@ underflow to 0 instead of overflowing.  Equal widths need no separate form:
 the first term vanishes and P_like = (1/2) e^{-gamma (ta + tb)} sin^2(...).
 
 All functions are pure and accept scalars or numpy arrays for the times.
-``qm_like_joint`` and ``qm_unlike_joint`` evaluate large time grids in
-chunks of 2^14 points, spread over threads for grids of 2^19 points or more
-(``mesonbell._chunks``); every value is the same bits whatever the chunking.
+``qm_like_joint`` and ``qm_unlike_joint`` give an array of the times'
+broadcast shape, or a float at two scalar times; each is one call of the
+grid driver of ``mesonbell._chunks``, so the values are the same bits
+whatever the chunking or thread count.
 CP violation in the weak interactions is neglected throughout.
 
 The time-integrated like/unlike ratio of these joints has a closed form;
@@ -50,11 +51,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from ._chunks import _check_times, _grid, _on_chunks
+from ._chunks import _check_times, _on_chunks
 from .constants import OscillationParams
 
 __all__ = [
@@ -113,7 +115,7 @@ class TimePair:
                 raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
-def _joint(params: OscillationParams, t_a, t_b, trig, out=None):
+def _joint(params: OscillationParams, trig, t_a, t_b, out=None):
     """The like (trig = np.sin) or unlike (np.cos) joint width + mixing trig(phase)^2, into out.
 
     The sum-of-squares form of the module docstring; the caller has checked the times.
@@ -127,24 +129,20 @@ def _joint(params: OscillationParams, t_a, t_b, trig, out=None):
     return np.add(width, mixing * trig(phase) ** 2, out=out)
 
 
-def _joint_on_chunks(params: OscillationParams, t_a, t_b, trig):
-    shape, t_a, t_b = _grid(t_a, t_b)
-    (out,) = _on_chunks(lambda rows, t_a, t_b, out: _joint(params, t_a, t_b, trig, out), t_a, t_b, ())
-    return out.reshape(shape)[()]
-
-
 def qm_like_joint(params: OscillationParams, t_a, t_b):
     """Probability of tagging the same flavor on both sides at (t_a, t_b).
 
     Exactly 0.0 at t_a = t_b: the antisymmetric state is perfectly
     anti-correlated at equal proper times.
     """
-    return _joint_on_chunks(params, t_a, t_b, np.sin)
+    _, _, like = _on_chunks(partial(_joint, params, np.sin), t_a, t_b, ())
+    return like
 
 
 def qm_unlike_joint(params: OscillationParams, t_a, t_b):
     """Probability of tagging opposite flavors at (t_a, t_b)."""
-    return _joint_on_chunks(params, t_a, t_b, np.cos)
+    _, _, unlike = _on_chunks(partial(_joint, params, np.cos), t_a, t_b, ())
+    return unlike
 
 
 def qm_flavor_table(params: OscillationParams, t_a: float, t_b: float) -> dict[FlavorOutcome, float]:
@@ -154,7 +152,7 @@ def qm_flavor_table(params: OscillationParams, t_a: float, t_b: float) -> dict[F
     probability that both mesons are still undecayed enough to be tagged.
     """
     _check_times(t_a, t_b)
-    like, unlike = (float(_joint(params, t_a, t_b, trig)) for trig in (np.sin, np.cos))
+    like, unlike = (float(_joint(params, trig, t_a, t_b)) for trig in (np.sin, np.cos))
     p, a = Flavor.PARTICLE, Flavor.ANTIPARTICLE
     return {
         FlavorOutcome(a, a): like,

@@ -177,6 +177,12 @@ def test_bad_config_values_are_single_line_errors(tmp_path, capsys, command, con
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
+def test_bad_weight_error_shows_the_plain_value(capsys):
+    code, out, err = run(capsys, "curve", "--weights", "nan,1,1,1")
+    assert code == 1 and out == ""
+    assert err == "error: bad weights (nan, 1.0, 1.0, 1.0): acceptance weights must lie in [0, 1]; got nan\n"
+
+
 def test_overflowing_time_rule_is_one_error_line(capsys):
     # a numpy warning would print its own lines on stderr ahead of the error
     with warnings.catch_warnings():

@@ -109,3 +109,28 @@ def test_mapping_override_and_unknown_key():
     assert k.gamma_l == 2.0e7
     with pytest.raises(ValueError, match="unknown override"):
         species_params("kaon", config={"kaon": {"mass": 1.0}})
+
+
+MALFORMED_OVERRIDES = [
+    ('[1, 2]', "must be an object keyed by species"),
+    ('5', "must be an object keyed by species"),
+    ('"5e9"', "must be an object keyed by species"),
+    ('{"kaon": 5}', "overrides for kaon must be an object"),
+    ('{"kaon": [1.0]}', "overrides for kaon must be an object"),
+    ('{"kaon": {"gamma_s": null}}', "kaon.gamma_s must be a number"),
+    ('{"kaon": {"gamma_s": true}}', "kaon.gamma_s must be a number"),
+    ('{"kaon": {"delta_m": "5e9"}}', "kaon.delta_m must be a number"),
+    ('{"kaon": {"gamma_l_err": [1]}}', "kaon.gamma_l_err must be a number"),
+    ('{"kaon": {"gamma_s": 1' + "0" * 400 + '}}', "kaon.gamma_s is too large"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_OVERRIDES, ids=[text[:32] for text, _ in MALFORMED_OVERRIDES])
+def test_malformed_overrides_are_value_errors(tmp_path, text, message):
+    path = tmp_path / "constants.json"
+    path.write_text(text)
+    config = json.loads(text)
+    # a JSON file, and the same value passed as a mapping where it is one
+    for source in [path] + ([config] if isinstance(config, dict) else []):
+        with pytest.raises(ValueError, match=message):
+            species_params("kaon", config=source)

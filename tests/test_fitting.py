@@ -16,8 +16,8 @@ from mesonbell.fitting import (
     fit_constant_weights,
     trivial_weights,
 )
-from mesonbell.lrm import EfficiencyWeights, RhoProfile
-from mesonbell.quantum import qm_like_joint
+from mesonbell.lrm import EfficiencyWeights, RhoProfile, joint_probabilities, lrm_like_joint
+from mesonbell.quantum import qm_like_joint, qm_unlike_joint
 
 ZERO = RhoProfile.zero()
 SAT_UP = RhoProfile.saturate_upper_short()
@@ -335,6 +335,17 @@ def test_curve_table_columns_take_the_broadcast_grid_shape(t_a, t_b, shape):
     assert np.array_equal(table.t_b, np.broadcast_to(t_b, shape))
     assert np.array_equal(table.qm, np.broadcast_to(qm_like_joint(KAON, t_a, t_b), shape))
     assert np.array_equal(table.gap, table.lrm - table.qm)
+    # every other entry point returns the broadcast grid shape, and a float at two scalar times
+    grid = np.broadcast_shapes(np.shape(t_a), np.shape(t_b))
+    for joint in (qm_like_joint(KAON, t_a, t_b), qm_unlike_joint(KAON, t_a, t_b),
+                  lrm_like_joint(KAON, ZERO, EfficiencyWeights.constant(*FIG3_WEIGHTS), t_a, t_b)):
+        if grid:
+            assert joint.shape == grid
+        else:
+            assert type(joint) is float
+    assert joint_probabilities(KAON, ZERO, t_a, t_b).shape == grid + (4,)
+    p, qm = fitting._tables(KAON, ZERO, t_a, t_b)
+    assert p.shape == shape + (4,) and qm.shape == shape
 
 
 def test_evaluate_gap_matches_direct_weighted_sum():

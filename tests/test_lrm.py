@@ -358,13 +358,19 @@ def test_kaon_machinery_at_equal_widths_reproduces_bmeson():
 
 
 def test_weight_validation():
-    with pytest.raises(WeightRangeError):
+    # the message shows the offending value as a plain float, not a numpy repr
+    with pytest.raises(WeightRangeError, match=r"; got 1\.2$"):
         EfficiencyWeights.constant(1.2, 0.0, 0.0, 0.0)
-    with pytest.raises(WeightRangeError):
+    with pytest.raises(WeightRangeError, match=r"; got -0\.1$"):
         EfficiencyWeights.constant(-0.1, 0.5, 0.5, 0.5)
+    with pytest.raises(WeightRangeError, match=r"; got nan$"):
+        EfficiencyWeights.constant(0.5, float("nan"), 0.5, 0.5)
     w = EfficiencyWeights(lambda ta, tb: 1.5, 0.0, 0.0, 0.0)
-    with pytest.raises(WeightRangeError):
+    with pytest.raises(WeightRangeError, match=r"; got 1\.5$"):
         w.values(1 / G, 2 / G)
+    w = EfficiencyWeights(0.5, lambda ta, tb: np.full(np.shape(ta), np.nan), 0.5, 0.5)
+    with pytest.raises(WeightRangeError, match=r"; got nan$"):
+        w.values(np.array([1 / G, 2 / G]), 2 / G)
 
 
 def test_weight_values_and_total_efficiency():
