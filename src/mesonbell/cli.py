@@ -8,15 +8,21 @@ fit         fit constant acceptance weights at a target efficiency
 thresholds  tagging efficiencies against the loophole-free minima
 mc          seeded event simulation with the acceptance-bias breakdown
 
-A JSON file passed via --config supplies any of the flag values (keys mirror
-the flag names with dashes replaced by underscores); explicit flags override
-the file.  Times on the CSV axis are in units of 1/gamma_s by default.
+Each setting is declared once, in ``_SETTINGS``: its help, flag type or
+choices, default, the JSON types a config value may take and the commands that
+read it.  A subcommand registers only the flags it reads.  A JSON file passed
+via --config may hold any setting (keys are the flag names with dashes replaced
+by underscores), since one scenario file serves every command; explicit flags
+override the file.  Every setting is checked before any work starts, and every
+error, usage errors included, is one ``error: ...`` line on stderr.  Times on
+the CSV axis are in units of 1/gamma_s by default.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -44,10 +50,32 @@ PRESETS: dict[str, dict] = {
 
 _RHO_KINDS = ("zero", "saturate_upper_short", "saturate_lower_short")
 
-# the types each --config value may take (flags arrive already parsed)
-_CONFIG_TYPES = {"species": (str,), "rho": (str, dict), "preset": (str,), "weights": (str, list),
-                 "eta": (int, float), "grid": (str, list), "tb_rule": (str, int, float),
-                 "seed": (int,), "n_events": (int,), "out": (str,), "time_unit": (str,)}
+
+class _Setting:
+    """One scenario setting.  ``json_types`` holds the types a --config value may
+    take (none: flag only); with ``choices`` the first choice is the default."""
+
+    def __init__(self, help, json_types, commands=("curve", "fit", "mc"), default=None, type=str, choices=()):
+        self.help, self.json_types, self.commands = help, json_types, commands
+        self.type, self.choices = type, choices
+        self.default = choices[0] if choices else default
+
+
+_SETTINGS = {
+    "species": _Setting("meson species", (str,), choices=("kaon", "bmeson")),
+    "rho": _Setting("rho profile: " + ", ".join(_RHO_KINDS), (str, dict), default=_RHO_KINDS[0]),
+    "preset": _Setting("named weight preset: " + ", ".join(sorted(PRESETS)), (str,)),
+    "weights": _Setting("acceptance weights 'a1,a2,a3,a4'", (str, list), default="1,1,1,1"),
+    "eta": _Setting("target total efficiency in (0, 1], required", (int, float), ("fit",), type=float),
+    "grid": _Setting("time grid 'tmin:tmax:n' in units of 1/gamma_s", (str, list), default="0.2:5:200"),
+    "tb_rule": _Setting("t_b = K*t_a + C as 'C', 't_a', 'K*t_a' or 'K*t_a+C', C in units of 1/gamma_s",
+                        (str, int, float), default="2*t_a"),
+    "seed": _Setting("random seed", (int,), ("mc",), default=42, type=int),
+    "n_events": _Setting("Monte-Carlo sample size", (int,), ("mc",), default=1_000_000, type=int),
+    "out": _Setting("output path for CSV ('-' for stdout)", (str,), ("curve", "fit")),
+    "time_unit": _Setting("time axis unit for reports", (str,), choices=("gamma_s", "seconds")),
+    "objective": _Setting("fit objective", (), ("fit",), choices=("match_qm", "underbound_qm")),
+}
 
 _FMT = "{:.11e}"  # 12 significant digits
 
@@ -80,27 +108,18 @@ def _parse_grid(spec) -> tuple[float, float, int]:
     return lo, hi, n
 
 
-def _parse_tb_rule(text: str):
-    """Linear rules 'K*t_a', 'K*t_a+C' or a constant 'C' (C in 1/gamma_s units)."""
-    compact = text.replace(" ", "")
-    slope, offset, rest = 0.0, 0.0, compact
-    if "*t_a" in compact:
-        head, _, tail = compact.partition("*t_a")
-        try:
-            slope = float(head)
-        except ValueError:
-            raise CliError(f"--tb-rule slope must be numeric, got {text!r}") from None
-        rest = tail
-    elif compact == "t_a":
-        slope, rest = 1.0, ""
-    if rest:
-        try:
-            offset = float(rest)
-        except ValueError:
-            raise CliError(f"--tb-rule must look like '2*t_a', 't_a+0.5' or '3.0', got {text!r}") from None
-    if slope == 0.0 and offset == 0.0 and compact not in ("0", "0.0"):
-        raise CliError(f"--tb-rule must look like '2*t_a', 't_a+0.5' or '3.0', got {text!r}")
-    return slope, offset
+def _parse_tb_rule(text: str) -> tuple[float, float]:
+    """(K, C) of t_b = K*t_a + C from 'C', 't_a', 'K*t_a', 't_a+C', 't_a-C', 'K*t_a+C' or 'K*t_a-C'."""
+    rule = text.replace(" ", "")
+    head, ta, tail = rule.partition("t_a")
+    try:
+        if not ta:
+            return 0.0, float(rule)
+        if head and head[-1] != "*" or tail and tail[0] not in "+-":
+            raise ValueError
+        return (float(head[:-1]) if head else 1.0), (float(tail) if tail else 0.0)
+    except ValueError:
+        raise CliError(f"--tb-rule must look like 'C', 't_a', 'K*t_a' or 'K*t_a+C', got {text!r}") from None
 
 
 def _build_rho(spec) -> RhoProfile:
@@ -119,6 +138,7 @@ def _build_rho(spec) -> RhoProfile:
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
+    """The --config file's settings, type-checked, then the flags given on the command line."""
     merged: dict = {}
     if getattr(args, "config", None):
         try:
@@ -129,89 +149,64 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise CliError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(file_values, dict):
             raise CliError(f"config file must hold a JSON object, got {type(file_values).__name__}")
-        unknown = set(file_values) - set(_CONFIG_TYPES)
+        unknown = [key for key in file_values if key not in _SETTINGS or not _SETTINGS[key].json_types]
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
         for key, value in file_values.items():
-            if type(value) not in _CONFIG_TYPES[key]:
-                expected = " or ".join(t.__name__ for t in _CONFIG_TYPES[key])
+            setting = _SETTINGS[key]
+            if type(value) not in setting.json_types:
+                expected = " or ".join(t.__name__ for t in setting.json_types)
                 raise CliError(f"config value {key!r} must be {expected}, got {type(value).__name__}")
+            if setting.choices and value not in setting.choices:
+                raise CliError(f"config value {key!r} must be one of {setting.choices}, got {value!r}")
         merged.update(file_values)
-    for key in _CONFIG_TYPES:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
+    merged.update((key, value) for key, value in vars(args).items() if key in _SETTINGS and value is not None)
     return merged
 
 
-def _scenario(args: argparse.Namespace, *, need_eta: bool = False):
+def _scenario(args: argparse.Namespace) -> dict:
+    """Every setting, with the values ``args.command`` reads checked and built before any work."""
     raw = _merge_config(args)
-
-    species = raw.get("species")
-    rho_spec = raw.get("rho")
-    weights_spec = raw.get("weights")
     preset = raw.get("preset")
     if preset is not None:
         if preset not in PRESETS:
             raise CliError(f"unknown preset {preset!r}; expected one of {sorted(PRESETS)}")
-        entry = PRESETS[preset]
-        species = species or entry["species"]
-        rho_spec = rho_spec or entry["rho"]
-        weights_spec = weights_spec if weights_spec is not None else entry["weights"]
+        raw = {**PRESETS[preset], **raw}
+    scenario = {name: raw.get(name, setting.default) for name, setting in _SETTINGS.items()}
 
-    species = species or "kaon"
+    params = species_params(scenario["species"])  # a declared choice, so always known
+    rho = _build_rho(scenario["rho"])
+    weights = scenario["weights"]
+    if isinstance(weights, str):
+        weights = _parse_weights(weights)
     try:
-        params = species_params(species)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-
-    rho = _build_rho(rho_spec if rho_spec is not None else "zero")
-
-    if isinstance(weights_spec, str):
-        weights_spec = _parse_weights(weights_spec)
-    if weights_spec is None:
-        weights_spec = (1.0, 1.0, 1.0, 1.0)
-    try:
-        weights = EfficiencyWeights.constant(*weights_spec)
+        weights = EfficiencyWeights.constant(*weights)
     except (TypeError, ValueError) as exc:
-        raise CliError(f"bad weights {weights_spec!r}: {exc}") from None
+        raise CliError(f"bad weights {weights!r}: {exc}") from None
 
-    lo, hi, n = _parse_grid(raw.get("grid", "0.2:5:200"))
-    if n < 2 and not need_eta and args.command == "curve":
+    lo, hi, n = _parse_grid(scenario["grid"])
+    if args.command == "mc":
+        n = 1  # mc simulates the first grid point only, and linspace(lo, hi, 1) is that point bit for bit
+    elif n < 2 and args.command == "curve":
         raise CliError("curve grids need at least 2 points")
-    slope, offset = _parse_tb_rule(str(raw.get("tb_rule", "2*t_a")))
+    slope, offset = _parse_tb_rule(str(scenario["tb_rule"]))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite times are rejected below
         t_a = np.linspace(lo, hi, n) / params.gamma_s
         t_b = slope * t_a + offset / params.gamma_s
     if np.any(t_b < 0.0):
         raise CliError("tb rule produced negative times")
 
-    eta = raw.get("eta")
-    if need_eta:
-        if eta is None:
+    if args.command == "fit":
+        if scenario["eta"] is None:
             raise CliError("this command requires --eta")
-        eta = float(eta)
+        scenario["eta"] = float(scenario["eta"])
 
-    return {
-        "params": params,
-        "rho": rho,
-        "weights": weights,
-        "t_a": t_a,
-        "t_b": t_b,
-        "eta": eta,
-        "seed": int(raw.get("seed", 42)),
-        "n_events": int(raw.get("n_events", 1_000_000)),
-        "out": raw.get("out"),
-        "time_unit": raw.get("time_unit", "gamma_s"),
-    }
+    scenario.update(params=params, rho=rho, weights=weights, t_a=t_a, t_b=t_b)
+    return scenario
 
 
 def _time_scale(scenario) -> float:
-    if scenario["time_unit"] == "seconds":
-        return 1.0
-    if scenario["time_unit"] == "gamma_s":
-        return scenario["params"].gamma_s
-    raise CliError(f"--time-unit must be 'gamma_s' or 'seconds', got {scenario['time_unit']!r}")
+    return 1.0 if scenario["time_unit"] == "seconds" else scenario["params"].gamma_s
 
 
 def _write_csv(table, scenario) -> None:
@@ -240,8 +235,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    scenario = _scenario(args, need_eta=True)
-    objective = args.objective
+    scenario = _scenario(args)
+    objective = scenario["objective"]
     problem = FitProblem(scenario["params"], scenario["rho"], scenario["eta"],
                          scenario["t_a"], scenario["t_b"], objective)
     result = fit_constant_weights(problem)
@@ -311,46 +306,35 @@ def cmd_mc(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one line like every other error, with argparse's exit status
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mesonbell",
         description="Joint flavor-tag predictions for entangled neutral-meson pairs: "
                     "quantum mechanics vs an efficiency-biased local-realistic model.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--species", choices=("kaon", "bmeson"), help="meson species")
-        p.add_argument("--rho", help="rho profile: " + ", ".join(_RHO_KINDS))
-        p.add_argument("--preset", help="named weight preset: " + ", ".join(sorted(PRESETS)))
-        p.add_argument("--weights", help="acceptance weights 'a1,a2,a3,a4'")
-        p.add_argument("--eta", type=float, help="target total efficiency in (0, 1]")
-        p.add_argument("--grid", help="time grid 'tmin:tmax:n' in units of 1/gamma_s (default 0.2:5:200)")
-        p.add_argument("--tb-rule", dest="tb_rule", help="t_b as a function of t_a, e.g. '2*t_a' (default)")
-        p.add_argument("--seed", type=int, help="random seed (default 42)")
-        p.add_argument("--n-events", dest="n_events", type=int, help="Monte-Carlo sample size (default 1e6)")
-        p.add_argument("--out", help="output path for CSV ('-' for stdout)")
-        p.add_argument("--config", help="JSON file with any of these values; flags override")
-        p.add_argument("--time-unit", dest="time_unit", choices=("gamma_s", "seconds"),
-                       help="time axis unit for reports (default gamma_s)")
-
-    p_curve = sub.add_parser("curve", help="tabulate qm/lrm/P_i curves as CSV")
-    add_common(p_curve)
-    p_curve.set_defaults(func=cmd_curve)
-
-    p_fit = sub.add_parser("fit", help="fit constant acceptance weights at fixed efficiency")
-    add_common(p_fit)
-    p_fit.add_argument("--objective", choices=("match_qm", "underbound_qm"),
-                       default="match_qm", help="fit objective (default match_qm)")
-    p_fit.set_defaults(func=cmd_fit)
-
-    p_thr = sub.add_parser("thresholds", help="tagging efficiencies vs loophole-free minima")
-    p_thr.set_defaults(func=cmd_thresholds)
-
-    p_mc = sub.add_parser("mc", help="seeded event simulation at the first grid point")
-    add_common(p_mc)
-    p_mc.set_defaults(func=cmd_mc)
+    for command, func, help in (
+        ("curve", cmd_curve, "tabulate qm/lrm/P_i curves as CSV"),
+        ("fit", cmd_fit, "fit constant acceptance weights at fixed efficiency"),
+        ("thresholds", cmd_thresholds, "tagging efficiencies vs loophole-free minima"),
+        ("mc", cmd_mc, "seeded event simulation at the first grid point"),
+    ):
+        p = sub.add_parser(command, help=help)
+        p.set_defaults(func=func)
+        for name, setting in _SETTINGS.items():
+            if command in setting.commands:
+                suffix = "" if setting.default is None else f" (default {setting.default})"
+                p.add_argument("--" + name.replace("_", "-"), type=setting.type,
+                               choices=setting.choices or None, help=setting.help + suffix)
+        if command != "thresholds":
+            p.add_argument("--config", help="JSON file with settings of any command; flags override")
     return parser
 
 
@@ -368,7 +352,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry_point() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (``mesonbell mc ... | head -2``): exit quietly, with
+        # stdout on devnull so that the flush at shutdown cannot raise it again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

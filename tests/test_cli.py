@@ -1,9 +1,12 @@
+import argparse
 import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,7 +15,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mesonbell.cli import _FMT, PRESETS, _write_csv, main
+from mesonbell import cli
+from mesonbell.cli import _FMT, _SETTINGS, PRESETS, _scenario, _write_csv, build_parser, main
 from mesonbell.constants import KAON
 from mesonbell.fitting import CurveTable
 
@@ -108,6 +112,26 @@ def test_config_file_with_flag_override(tmp_path, capsys):
                      "--out", str(out))
     assert code == 0
     assert len(out.read_text().splitlines()) == 6  # header + 5 (flag wins)
+
+
+@pytest.mark.parametrize("rule, slope, offset", [
+    ("3.0", 0.0, 3.0), ("0", 0.0, 0.0), ("0.00", 0.0, 0.0), ("t_a", 1.0, 0.0), ("2*t_a", 2.0, 0.0),
+    ("0*t_a", 0.0, 0.0), ("0.5*t_a", 0.5, 0.0), ("t_a+0.5", 1.0, 0.5), ("t_a-0.5", 1.0, -0.5),
+    ("3 * t_a + 1", 3.0, 1.0), ("-1*t_a+3", -1.0, 3.0), ("5e-1*t_a-2.5e-1", 0.5, -0.25),
+])
+def test_tb_rule_gives_t_b_as_k_t_a_plus_c(rule, slope, offset):
+    scenario = _scenario(build_parser().parse_args(["curve", "--grid", "1:2:3", f"--tb-rule={rule}"]))
+    t_a = np.linspace(1.0, 2.0, 3) / KAON.gamma_s
+    assert np.array_equal(scenario["t_a"], t_a)
+    assert np.array_equal(scenario["t_b"], slope * t_a + offset / KAON.gamma_s)
+
+
+@pytest.mark.parametrize("rule", ["", "t_b", "2t_a", "t_a*2", "-t_a", "*t_a", "t_a+", "t_a+-1",
+                                  "t_a++1", "2*t_a+t_a", "t_a t_a", "1/2*t_a", "2*t_a*t_a", "x"])
+def test_tb_rule_rejects_other_forms_in_one_line(capsys, rule):
+    code, out, err = run(capsys, "curve", "--grid", "1:2:3", f"--tb-rule={rule}")
+    assert code == 1 and out == ""
+    assert err == f"error: --tb-rule must look like 'C', 't_a', 'K*t_a' or 'K*t_a+C', got {rule!r}\n"
 
 
 def report_fields(out):
@@ -414,3 +438,85 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def _flags(command):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {opt for action in sub.choices[command]._actions for opt in action.option_strings} - {"-h", "--help"}
+
+
+def test_each_command_registers_only_the_flags_it_reads():
+    common = {"--species", "--rho", "--preset", "--weights", "--grid", "--tb-rule", "--time-unit", "--config"}
+    expected = {"curve": common | {"--out"}, "fit": common | {"--eta", "--out", "--objective"},
+                "mc": common | {"--seed", "--n-events"}, "thresholds": set()}
+    for command, flags in expected.items():
+        declared = {"--" + name.replace("_", "-") for name, s in _SETTINGS.items() if command in s.commands}
+        assert _flags(command) == flags == (declared | {"--config"} if declared else set())
+    assert sum(len(_flags(command)) for command in ("curve", "fit", "mc")) == 30
+
+
+def test_readme_lists_each_commands_flags_and_defaults():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    listed = dict(re.findall(r"^- `(curve|fit|mc|thresholds)`: (.*)$", readme, re.M))
+    assert sorted(listed) == ["curve", "fit", "mc", "thresholds"]
+    for command, line in listed.items():
+        shown = re.findall(r"`(--[a-z-]+)`(?: \(([^)]*)\))?", line)
+        assert {flag for flag, _ in shown} == _flags(command), command
+        defaults = {"--" + name.replace("_", "-"): str(s.default) for name, s in _SETTINGS.items()
+                    if command in s.commands and s.default is not None}
+        assert {flag: default for flag, default in shown if default} == defaults, command
+
+
+@pytest.mark.parametrize("argv", [["curve", "--eta", "0.3"], ["mc", "--out", "x"],
+                                  ["curve", "--species", "pion"], ["fit", "--seed", "1"], []])
+def test_usage_errors_are_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_mc_builds_only_the_pair_it_simulates(capsys):
+    argv = ["mc", "--preset", "fig3", "--n-events", "1000", "--grid"]
+    code, expected, _ = run(capsys, *argv, "1:2:2")
+    tracemalloc.start()
+    try:
+        assert main([*argv, "1:2:20000000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and capsys.readouterr().out == expected
+    assert peak < 10 * 2**20  # the 2e7-point grid alone would take 160 MB
+
+
+@pytest.mark.parametrize("command", ["curve", "fit", "mc"])
+def test_settings_are_checked_before_any_work(tmp_path, monkeypatch, capsys, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before every setting was checked")
+
+    for name in ("evaluate_gap", "fit_constant_weights", "simulate"):
+        monkeypatch.setattr(cli, name, refuse)
+    path = tmp_path / "days.json"
+    path.write_text(json.dumps({"time_unit": "days", "grid": "0.2:5:2000000", "eta": 0.3}))
+    code, out, err = run(capsys, command, "--config", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: config value 'time_unit' must be one of ('gamma_s', 'seconds'), got 'days'\n"
+
+
+@pytest.mark.parametrize("argv, unbuffered", [
+    (["mc", "--grid", "1:1:1", "--n-events", "1000"], "1"),   # fails in the print loop
+    (["mc", "--grid", "1:1:1", "--n-events", "1000"], ""),    # fails in the final flush
+    (["curve", "--preset", "fig3"], ""),                      # fails in the one CSV write
+])
+def test_closed_pipe_exits_quietly(argv, unbuffered):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": unbuffered}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first line is written
+    try:
+        proc = subprocess.run([sys.executable, "-m", "mesonbell", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1 and proc.stderr == ""
