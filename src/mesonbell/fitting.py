@@ -9,8 +9,14 @@ problems are posed over a time grid:
 
 subject to a fixed total efficiency mean(a) = eta and box bounds
 a_i in [0, 1].  With one extra variable t bounding the gaps, both are
-linear programs in (a1..a4, t), solved exactly by one HiGHS call
-(``scipy.optimize`` is imported only there).
+linear programs in (a1..a4, t), solved by one HiGHS ``linprog`` call
+(``scipy.optimize`` is imported only there) with presolve off and a 1e-10
+primal feasibility tolerance.  On these 5-column LPs presolve costs about
+as much as the simplex solve at 200 points and far more on dense grids
+(~2.5 s of a 2.7 s fit at 20,000 points), and at the default 1e-7
+tolerance the solve can stop ~1e-7 relative above the optimum there.  The
+tests certify fits against a weak-duality lower bound built from the LP's
+row multipliers, to 1e-9 relative plus 1e-15.
 
 There is also the pointwise "trivial" assignment a_i = QM / P_i that
 reproduces QM identically wherever it is feasible, i.e. wherever the
@@ -49,6 +55,9 @@ OBJECTIVES = ("match_qm", "underbound_qm")
 
 # P_i at or below this is treated as unsupported when forming QM / P_i.
 SUPPORT_FLOOR = 1e-300
+
+# A fitted weight this close to 0 or 1 is returned on that bound.
+BOUND_SNAP = 1e-12
 
 
 def default_grid(params: OscillationParams, n: int = 200,
@@ -107,6 +116,12 @@ def _tables(params, rho, t_a, t_b):
 
 @dataclass(frozen=True)
 class FitResult:
+    """Fitted constant weights, their mean, their objective on the grid and the LP effort.
+
+    ``iterations`` counts HiGHS simplex iterations from the slack basis
+    (presolve is off), so it is 0 only where that basis is already optimal.
+    """
+
     weights: EfficiencyWeights
     achieved_eta: float
     max_abs_gap: float
@@ -205,16 +220,31 @@ def _objective_value(gaps: np.ndarray, objective: str) -> float:
     return float(max(0.0, np.max(gaps)))
 
 
+def _on_bounds(a: np.ndarray) -> np.ndarray:
+    """a clipped to [0, 1], with every entry within BOUND_SNAP of 0 or 1 put on it (-0.0 too)."""
+    a = np.clip(a, 0.0, 1.0)
+    a[a <= BOUND_SNAP] = 0.0
+    a[a >= 1.0 - BOUND_SNAP] = 1.0
+    return a
+
+
 def fit_constant_weights(problem: FitProblem) -> FitResult:
     """Best constant weights for the problem objective at the target efficiency.
 
     Solves the linear program in (a1..a4, t): minimize t subject to
     mean(a) = eta, a_i in [0, 1], t >= 0 and P a / 4 - QM <= t at every grid
     point (plus QM - P a / 4 <= t for ``match_qm``), with one HiGHS call.
-    The rows are scaled by max |QM| so HiGHS sees O(1) coefficients.  The
-    solution is clipped to the box and its sum restored to 4 eta; the
+    The rows are scaled by max |QM| so HiGHS sees O(1) coefficients.
+    HiGHS leaves rounding residue on the box bounds (0.9999999999999998
+    for a forced unit weight, 1e-15 where 0 is meant), so a weight within
+    ``BOUND_SNAP`` of 0 or 1 is put on that bound, and the residual of
+    sum(a) = 4 eta goes onto the interior weight (0 < a_i < 1) with the
+    most room for it, onto a weight at a bound only when none is interior,
+    and that weight is put back on a bound within ``BOUND_SNAP`` of it.  So
+    every weight is 0, 1 or more than ``BOUND_SNAP`` from both, and
+    mean(a) is eta to within ``BOUND_SNAP`` / 4 and rounding.  The
     reported objective is re-evaluated on the returned weights, and
-    ``iterations`` is the HiGHS iteration count.
+    ``iterations`` is the HiGHS simplex iteration count.
     """
     from scipy.optimize import linprog
 
@@ -228,16 +258,18 @@ def fit_constant_weights(problem: FitProblem) -> FitResult:
         rhs = np.concatenate([rhs, -rhs])
     res = linprog(np.array([0.0, 0.0, 0.0, 0.0, 1.0]), A_ub=rows, b_ub=rhs,
                   A_eq=np.array([[1.0, 1.0, 1.0, 1.0, 0.0]]), b_eq=[total],
-                  bounds=[(0.0, 1.0)] * 4 + [(0.0, None)], method="highs")
+                  bounds=[(0.0, 1.0)] * 4 + [(0.0, None)], method="highs",
+                  options={"presolve": False, "primal_feasibility_tolerance": 1e-10})
     if res.status != 0:
         raise RuntimeError(f"weight-fit linear program failed (status {res.status}): {res.message}")
 
-    a = np.clip(res.x[:4], 0.0, 1.0) + 0.0  # + 0.0 turns a -0.0 from HiGHS into 0.0
-    # put the rounding residual on the weight with the most room for it
+    a = _on_bounds(res.x[:4])
+    # interior weights first; a weight at a bound takes the residual only when
+    # none is interior, as when HiGHS returns a = 0 for eta = 1e-10
     residual = total - a.sum()
-    room = 1.0 - a if residual > 0.0 else a
-    j = int(np.argmax(room))
-    a[j] = min(max(a[j] + residual, 0.0), 1.0)
+    room = (1.0 - a if residual > 0.0 else a) + ((a > 0.0) & (a < 1.0))
+    a[int(np.argmax(room))] += residual
+    a = _on_bounds(a)
     return FitResult(
         weights=EfficiencyWeights.constant(*a),
         achieved_eta=float(a.mean()),

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import linprog
@@ -16,14 +16,15 @@ from mesonbell.fitting import (
     fit_constant_weights,
     trivial_weights,
 )
-from mesonbell.lrm import EfficiencyWeights, RhoProfile, joint_probabilities, lrm_like_joint
+from mesonbell.lrm import EfficiencyWeights, InadmissibleRhoError, RhoProfile, joint_probabilities, lrm_like_joint
 from mesonbell.quantum import qm_like_joint, qm_unlike_joint
 
 ZERO = RhoProfile.zero()
 SAT_UP = RhoProfile.saturate_upper_short()
 FIG3_WEIGHTS = (1.0, 0.13, 0.03, 0.04)
 
-# t_a ranges (units of 1/gamma_s, t_b = 2 t_a) on which each profile is admissible
+# t_a ranges (units of 1/gamma_s) on which each profile is admissible at t_b = 2 t_a;
+# at other t_b = K t_a some of them are not, and those draws are assumed away
 ADMISSIBLE_T_A = {
     ("kaon", "zero"): (0.2, 5.0),
     ("kaon", "saturate_upper_short"): (0.2, 5.0),
@@ -242,16 +243,35 @@ def test_fit_underbound_objective():
     assert abs(weights.mean() - 0.3) < 1e-9
 
 
-@settings(max_examples=60, deadline=None)
-@given(species=st.sampled_from(["kaon", "bmeson"]),
-       rho=st.sampled_from(["zero", "saturate_upper_short", "saturate_lower_short"]),
-       eta=st.floats(0.0, 1.0, exclude_min=True),
-       objective=st.sampled_from(OBJECTIVES))
-def test_fit_is_lp_optimal_by_the_dual_certificate(species, rho, eta, objective):
+def admissible_problem(species, rho, eta, objective, n, tb_factor):
+    """The fit on n points of the profile's t_a range with t_b = tb_factor t_a, or no draw."""
     params = species_params(species)
     lo, hi = ADMISSIBLE_T_A[(species, rho)]
-    t_a = np.linspace(lo, hi, 120) / params.gamma_s
-    problem = FitProblem(params, RhoProfile(rho), eta, t_a, 2.0 * t_a, objective)
+    t_a = np.linspace(lo, hi, n) / params.gamma_s
+    problem = FitProblem(params, RhoProfile(rho), eta, t_a, tb_factor * t_a, objective)
+    try:
+        problem.tables()
+    except InadmissibleRhoError:
+        assume(False)
+    return problem
+
+
+fit_draws = given(species=st.sampled_from(["kaon", "bmeson"]),
+                  rho=st.sampled_from(["zero", "saturate_upper_short", "saturate_lower_short"]),
+                  eta=st.floats(0.0, 1.0, exclude_min=True),
+                  objective=st.sampled_from(OBJECTIVES),
+                  n=st.integers(2, 2000),
+                  tb_factor=st.sampled_from([0.5, 2.0, 3.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@fit_draws
+# the presolved HiGHS solve stopped 4.3e-9 and 1.5e-9 relative above the bound here
+@example(species="bmeson", rho="zero", eta=0.5240841533325432, objective="match_qm", n=1328, tb_factor=0.5)
+@example(species="kaon", rho="saturate_upper_short", eta=0.33444069265835596, objective="match_qm",
+         n=1947, tb_factor=0.5)
+def test_fit_is_lp_optimal_by_the_dual_certificate(species, rho, eta, objective, n, tb_factor):
+    problem = admissible_problem(species, rho, eta, objective, n, tb_factor)
     result = fit_constant_weights(problem)
     a = np.array(result.weights.as_tuple())
     assert abs(a.mean() - eta) <= 1e-12 and abs(result.achieved_eta - eta) <= 1e-12
@@ -261,6 +281,27 @@ def test_fit_is_lp_optimal_by_the_dual_certificate(species, rho, eta, objective)
     value = np.max(np.abs(gaps)) if objective == "match_qm" else max(0.0, np.max(gaps))
     assert result.max_abs_gap == pytest.approx(value, rel=1e-12, abs=1e-300)
     assert_certified(problem, result)
+
+
+def test_fit_is_certified_on_a_dense_kaon_grid():
+    # the presolved HiGHS solve stopped 1.3e-7 relative above the bound here
+    problem = FitProblem.on_default_grid(KAON, ZERO, 0.7, n=5000)
+    assert_certified(problem, fit_constant_weights(problem))
+
+
+@settings(max_examples=100, deadline=None)
+@fit_draws
+# the presolved HiGHS solve returned a4 = 1 - 4.4e-16 and a1 = 4.4e-16 here
+@example(species="bmeson", rho="zero", eta=0.4304962777294131, objective="match_qm", n=280, tb_factor=3.0)
+@example(species="bmeson", rho="zero", eta=0.37390388077430303, objective="match_qm", n=248, tb_factor=3.0)
+# HiGHS returns a = 0 for a sum of 4e-10, so that residual must land on a weight at a bound
+@example(species="bmeson", rho="zero", eta=1e-10, objective="match_qm", n=23, tb_factor=3.0)
+def test_fitted_weights_lie_on_a_bound_or_clear_of_it(species, rho, eta, objective, n, tb_factor):
+    a = np.array(fit_constant_weights(admissible_problem(species, rho, eta, objective, n, tb_factor))
+                 .weights.as_tuple())
+    assert not np.any((a > 0.0) & (a < fitting.BOUND_SNAP))
+    assert not np.any((a > 1.0 - fitting.BOUND_SNAP) & (a < 1.0))
+    assert abs(a.mean() - eta) <= 1e-12
 
 
 @pytest.mark.parametrize("eta", [0.5, 0.6, 0.7])
