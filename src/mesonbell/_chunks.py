@@ -7,6 +7,12 @@ a flat grid and hands it the fixed-size chunks, so every array entry point
 ``lrm_like_joint``, the fitter's tables and ``evaluate_gap``) is one call of
 it.  Each output element depends only on its own row, so the outputs are the
 same bits whatever the chunking or thread count.
+
+The one code path serves one point and 10^6 alike, so its fixed cost is kept
+small: a one-value check compares Python floats (``_in_range``), one row of
+constant weights is handed whole to every chunk, and the values of one point
+come back without a reshape.  On a 2-core host ``_on_chunks`` costs ~8 us at
+two scalar times with a kernel that does nothing, and a 1-D grid pays it once.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import contextvars
 import itertools
 import os
+import sys
 import threading
 from typing import Callable
 
@@ -31,11 +38,22 @@ _CHUNK = 1 << 14
 _CHUNKS_PER_WORKER = 16
 
 
+def _in_range(values: np.ndarray, lo: float, hi: float) -> bool:
+    """Whether every one of the values lies in [lo, hi]; a nan fails.
+
+    One value is compared as a Python float, which reaches the decision of
+    the min/max reductions without their ~2 us each.
+    """
+    if values.size == 1:
+        return lo <= values.item() <= hi
+    # a nan propagates through min and max, and the comparison then fails
+    return values.size == 0 or bool(values.min() >= lo and values.max() <= hi)
+
+
 def _check_times(*times) -> None:
     for t in times:
-        arr = np.asarray(t, dtype=float)
-        # a nan propagates through min, and the comparison then fails
-        if arr.size and not (arr.min() >= 0.0 and arr.max() < np.inf):
+        # x < inf is x <= the largest float
+        if not _in_range(np.asarray(t, dtype=float), 0.0, sys.float_info.max):
             raise ValueError("proper times must be finite and non-negative")
 
 
@@ -52,9 +70,8 @@ def _run_shares(n_items: int, workers: int, work: Callable[[int], None]) -> None
     """
     items, claim = itertools.count(), threading.Lock()
     errors: list[tuple[int, BaseException]] = []    # the shares stop once it has an entry
-    done = [threading.Event() for _ in range(1, workers)]
 
-    def share(w: int) -> None:
+    def share(finished: threading.Event | None = None) -> None:
         item = -1
         try:
             while not errors:
@@ -66,26 +83,27 @@ def _run_shares(n_items: int, workers: int, work: Callable[[int], None]) -> None
         except BaseException as exc:  # re-raised in the caller below
             errors.append((item, exc))
         finally:
-            if w:
-                done[w - 1].set()
+            if finished is not None:
+                finished.set()
 
-    helpers: list[threading.Thread] = []
+    helpers: list[tuple[threading.Thread, threading.Event]] = []
     try:
-        for w in range(1, workers):
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(share, w))
+        for _ in range(1, workers):
+            finished = threading.Event()
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(share, finished))
             thread.start()
-            helpers.append(thread)
-        share(0)
+            helpers.append((thread, finished))
+        share()
         # not Thread.join: an interrupted join can mark a running thread as
         # stopped (CPython 3.11), and the join below would then return at once
-        for event in done:
-            event.wait()
+        for _, finished in helpers:
+            finished.wait()
     except BaseException as exc:
         # starting a helper failed or an interrupt arrived while waiting
         errors.append((-1, exc))
         raise
     finally:
-        for thread in helpers:
+        for thread, _ in helpers:
             thread.join()
     if errors:
         raise min(errors, key=lambda error: error[0])[1]
@@ -94,27 +112,31 @@ def _run_shares(n_items: int, workers: int, work: Callable[[int], None]) -> None
 def _on_chunks(kernel: Callable, t_a, t_b, *widths: tuple[int, ...], rows_at: Callable | None = None):
     """Evaluate kernel over the time grid (t_a, t_b) in chunks of _CHUNK points.
 
-    The times are checked, broadcast to one grid and flattened (two 1-D arrays
-    of one shape are used as they are, strided or not).  ``rows_at(t_a, t_b)``,
-    if given, returns per-point rows (k values on the last axis) that are
-    broadcast over the grid.  ``kernel(t_a, t_b, [rows,] *outputs)`` fills
-    each chunk of one float output of shape (n, *width) per width, on one more
+    The times are checked, broadcast to one grid and flattened (times of one
+    shape are viewed flat as they are, strided or not).  ``rows_at(t_a, t_b)``,
+    if given, returns rows of k values on the last axis: one (k,) row is
+    handed whole to every chunk, and per-point rows are broadcast over the
+    grid and cut with it.  ``kernel(t_a, t_b, [rows,] *outputs)`` fills each
+    chunk of one float output of shape (n, *width) per width, on one more
     thread per _CHUNKS_PER_WORKER chunks.  Returns the grid times and the
     outputs shaped (*grid, *width); a 0-d one comes back as a Python float.
     """
     t_a = np.asarray(t_a, dtype=float)
     t_b = np.asarray(t_b, dtype=float)
     _check_times(t_a, t_b)
-    if t_a.ndim == 1 and t_a.shape == t_b.shape:
-        grid, inputs = t_a.shape, [t_a, t_b]
+    if t_a.shape == t_b.shape:
+        grid, inputs = t_a.shape, [t_a, t_b] if t_a.ndim == 1 else [t_a.reshape(-1), t_b.reshape(-1)]
     else:
         broadcast = np.broadcast_arrays(t_a, t_b)
         grid, inputs = broadcast[0].shape, [x.ravel() for x in broadcast]
     n = inputs[0].size
+    shared = []
     if rows_at is not None:
-        # a row given once (constant weights) is broadcast over the grid, not copied per point
         rows = rows_at(t_a, t_b)
-        inputs.append(np.broadcast_to(rows, grid + rows.shape[-1:]).reshape(n, rows.shape[-1]))
+        if rows.ndim == 1:      # constant weights: one row, not a copy of it per point
+            shared.append(rows)
+        else:
+            inputs.append(np.broadcast_to(rows, grid + rows.shape[-1:]).reshape(n, rows.shape[-1]))
     outputs = [np.empty((n, *width)) for width in widths]
     arrays = inputs + outputs
     size = _CHUNK
@@ -122,11 +144,15 @@ def _on_chunks(kernel: Callable, t_a, t_b, *widths: tuple[int, ...], rows_at: Ca
 
     def work(chunk: int) -> None:
         part = slice(chunk * size, (chunk + 1) * size)
-        kernel(*[x[part] for x in arrays])
+        args = [x[part] for x in arrays]
+        args[2:2] = shared      # after the times
+        kernel(*args)
 
     _run_shares(n_chunks, max(1, min(_WORKERS, n_chunks // _CHUNKS_PER_WORKER)), work)
     results = inputs[:2] + outputs
     if grid == (n,):    # the flat layout is the grid's own
         return results
-    shaped = [x.reshape(grid + x.shape[1:]) for x in results]
-    return [x if x.ndim else float(x) for x in shaped]
+    if grid:
+        return [x.reshape(grid + x.shape[1:]) for x in results]
+    # two scalar times: the one point's values, a float where no axis is left
+    return [x[0] if x.ndim > 1 else x.item() for x in results]

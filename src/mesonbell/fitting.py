@@ -273,9 +273,24 @@ def fit_constant_weights(problem: FitProblem) -> FitResult:
     return FitResult(
         weights=EfficiencyWeights.constant(*a),
         achieved_eta=float(a.mean()),
-        max_abs_gap=_objective_value(p @ a / 4.0 - qm, problem.objective),
+        max_abs_gap=_objective_value(_gap(p, qm, problem.grid_t_a > problem.grid_t_b, a), problem.objective),
         iterations=int(res.nit),
     )
+
+
+def _gap(p, qm, swapped, a):
+    """LRM - QM for the weight row a on the (P, qm) tables, summed as ``evaluate_gap`` sums it.
+
+    The rows where t_a > t_b (``swapped``) go back to time order first, so the
+    gap has ``evaluate_gap``'s bits.
+    """
+    if np.count_nonzero(swapped):
+        p = np.where(swapped[:, None], p[:, ::-1], p)
+    else:
+        swapped = None
+    lrm = np.empty_like(qm)
+    _weighted_rate(p.T, swapped, a, lrm)
+    return lrm - qm
 
 
 @dataclass(frozen=True)

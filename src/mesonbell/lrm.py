@@ -85,7 +85,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._chunks import _check_times, _on_chunks
+from ._chunks import _check_times, _in_range, _on_chunks
 from .constants import OscillationParams
 
 __all__ = [
@@ -304,8 +304,9 @@ class RhoProfile:
         """
         fractions = [self._fractions(params, t) for t in times]
         lo, hi = -_ADMISSIBLE_TOL, 1.0 + _ADMISSIBLE_TOL
-        # a nan propagates through min and max, and the comparison then fails
-        if not all(w.size == 0 or (w.min() >= lo and w.max() <= hi) for pair in fractions for w in pair):
+        # each distinct array once: for rho = zero w2 is w4
+        distinct = {id(w): w for pair in fractions for w in pair}.values()
+        if not all(_in_range(w, lo, hi) for w in distinct):
             bad = np.stack(np.broadcast_arrays(*(~((w2 >= lo) & (w2 <= hi) & (w4 >= lo) & (w4 <= hi))
                                                  for w2, w4 in fractions)), axis=-1)
             t_all = np.stack(np.broadcast_arrays(*(np.asarray(t, dtype=float) for t in times)), axis=-1)
@@ -354,13 +355,15 @@ def p43_conditional(params: OscillationParams, rho: RhoProfile, t_a, t_b):
 
 
 def _joint_columns(params: OscillationParams, rho: RhoProfile, t_a, t_b):
-    """P1..P4 of a chunk at its times sorted per pair, and the pairs where t_a > t_b.
+    """P1..P4 of a chunk at its times sorted per pair, and the pairs where t_a > t_b (None if none).
 
     The chunk kernel behind every P_i observable; the caller has checked the times.
     """
     swapped = t_a > t_b
-    if swapped.any():
+    if np.count_nonzero(swapped):
         t_a, t_b = np.minimum(t_a, t_b), np.maximum(t_a, t_b)
+    else:
+        swapped = None
     w2, w4, c21, c43 = _increments(params, rho, t_a, t_b)
     first = np.exp(-params.gamma_s * t_a) * np.exp(-params.gamma_l * t_a)
     columns = (first * w2 * c43, first * (1.0 - w2) * c43,
@@ -370,24 +373,26 @@ def _joint_columns(params: OscillationParams, rho: RhoProfile, t_a, t_b):
 
 def _store_joints(columns, swapped, out) -> None:
     """Write P1..P4 into the (m, 4) out, relabelled where t_a > t_b (module docstring)."""
-    np.stack(columns, axis=-1, out=out)
-    out += 0.0  # turns the -0.0 of first * 0.0 * (negative flip) into 0.0
-    if swapped.any():
+    for j, column in enumerate(columns):
+        # + 0.0 turns the -0.0 of first * 0.0 * (negative flip) into 0.0
+        np.add(column, 0.0, out=out[:, j])
+    if swapped is not None:
         out[swapped] = out[swapped, ::-1]
 
 
 def _weighted_rate(columns, swapped, a, out) -> None:
-    """(1/4) (0.0 + a1 P1 + a2 P2 + a3 P3 + a4 P4) into out, for the (m, 4) weight rows a.
+    """(1/4) (0.0 + a1 P1 + a2 P2 + a3 P3 + a4 P4) into out, for one (4,) weight row or (m, 4) rows a.
 
     That order is np.sum's over an axis of four, signed zeros included.
-    Relabelled pairs sum in time order, so both time orders agree bit for bit.
+    Relabelled pairs (the mask ``swapped``, or None for none) sum in time
+    order, so both time orders agree bit for bit.
     """
-    if swapped.any():
-        a = np.where(swapped[:, None], a[:, ::-1], a)
-    np.multiply(columns[0], a[:, 0], out=out)
+    if swapped is not None:
+        a = np.where(swapped[:, None], a[..., ::-1], a)
+    np.multiply(columns[0], a[..., 0], out=out)
     out += 0.0
     for j in (1, 2, 3):
-        out += columns[j] * a[:, j]
+        out += columns[j] * a[..., j]
     out *= 0.25
 
 
@@ -417,9 +422,15 @@ class EfficiencyWeights:
     a4: float | Callable
 
     def __post_init__(self) -> None:
-        for w in self.as_tuple():
-            if not callable(w):
-                _validate_weight_values(np.asarray(w, dtype=float))
+        constants = [np.asarray(w, dtype=float) for w in self.as_tuple() if not callable(w)]
+        for constant in constants:
+            _validate_weight_values(constant)
+        # four plain numbers make one row for every grid
+        row = None
+        if len(constants) == 4 and not any(constant.ndim for constant in constants):
+            row = np.array(constants)
+            row.flags.writeable = False
+        object.__setattr__(self, "_row", row)
 
     @classmethod
     def constant(cls, a1: float, a2: float, a3: float, a4: float) -> "EfficiencyWeights":
@@ -437,13 +448,21 @@ class EfficiencyWeights:
         return not any(callable(w) for w in self.as_tuple())
 
     def values(self, t_a, t_b) -> np.ndarray:
-        """Evaluate the four weights at (t_a, t_b), stacked on a new last axis."""
+        """Evaluate the four weights at (t_a, t_b), stacked on a new last axis.
+
+        Each weight's values must broadcast to the grid of (t_a, t_b) as they
+        are; a ValueError names the first that does not.
+        """
         t_a = np.asarray(t_a, dtype=float)
         t_b = np.asarray(t_b, dtype=float)
+        grid = np.broadcast_shapes(t_a.shape, t_b.shape)
         cols = []
-        for w in self.as_tuple():
+        for i, w in enumerate(self.as_tuple(), 1):
             v = np.asarray(w(t_a, t_b) if callable(w) else w, dtype=float)
-            cols.append(np.broadcast_to(v, np.broadcast_shapes(v.shape, t_a.shape, t_b.shape)))
+            if len(v.shape) > len(grid) or any(k not in (1, g) for k, g in zip(v.shape[::-1], grid[::-1])):
+                raise ValueError(f"weight a{i} has shape {v.shape}, which does not broadcast "
+                                 f"to the time grid's shape {grid}")
+            cols.append(np.broadcast_to(v, grid))
         out = np.stack(cols, axis=-1)
         _validate_weight_values(out)
         return out
@@ -454,7 +473,7 @@ class EfficiencyWeights:
 
 
 def _validate_weight_values(values: np.ndarray) -> None:
-    if np.any(~np.isfinite(values)) or np.any(values < 0.0) or np.any(values > 1.0):
+    if not _in_range(values, 0.0, 1.0):
         bad = values[~(np.isfinite(values) & (values >= 0.0) & (values <= 1.0))]
         raise WeightRangeError(f"acceptance weights must lie in [0, 1]; got {float(bad.flat[0])!r}")
 
@@ -462,12 +481,11 @@ def _validate_weight_values(values: np.ndarray) -> None:
 def _weight_rows(weights: EfficiencyWeights, t_a, t_b) -> np.ndarray:
     """a1..a4 at the times (t_a, t_b), to be broadcast over their grid.
 
-    Plain numbers give one (4,) row, not a copy of it per time pair; otherwise
-    ``weights.values`` is called once with (t_a, t_b).
+    Plain numbers give the one (4,) row made and checked with the weights,
+    not a copy of it per time pair; otherwise ``weights.values`` is called
+    once with (t_a, t_b).
     """
-    if all(not callable(w) and np.ndim(w) == 0 for w in weights.as_tuple()):
-        return np.array(weights.as_tuple(), dtype=float)
-    return weights.values(t_a, t_b)
+    return weights.values(t_a, t_b) if weights._row is None else weights._row
 
 
 def lrm_like_joint(params: OscillationParams, rho: RhoProfile, weights: EfficiencyWeights, t_a, t_b):

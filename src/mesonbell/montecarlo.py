@@ -23,13 +23,14 @@ of those events, and a shorter listing is a prefix of a longer one.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import OscillationParams
-from .lrm import EfficiencyWeights, RhoProfile, joint_probabilities
+from .lrm import EfficiencyWeights, RhoProfile, _weight_rows, joint_probabilities
 from .quantum import TimePair
 
 __all__ = [
@@ -97,25 +98,26 @@ class AcceptanceBiasReport:
 
 
 def _event_probabilities(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """P1..P4 and a1..a4 at the configured time pair, each of shape (4,)."""
     t_a, t_b = config.t.t_a, config.t.t_b
-    p = np.asarray(joint_probabilities(config.params, config.rho, t_a, t_b), dtype=float)
-    if np.any(p < 0.0) or np.any(p > 1.0):
+    p = joint_probabilities(config.params, config.rho, t_a, t_b)
+    # four Python floats compare faster than two array reductions, to the same decision
+    if any(x < 0.0 or x > 1.0 for x in p.tolist()):
         raise ValueError(
             f"joint probabilities outside [0, 1] at (t_a={t_a!r}, t_b={t_b!r}): {p}; "
             "the configured time pair lies outside the model's validity domain"
         )
-    a = np.asarray(config.weights.values(t_a, t_b), dtype=float)
-    return p, a
+    return p, _weight_rows(config.weights, t_a, t_b)
 
 
-def _counts(config: SimConfig, gen: np.random.Generator) -> np.ndarray:
-    """The (4, 2, 2) event counts [configuration, like-flavor, accepted] of one run."""
+def _draws(config: SimConfig, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs (4,) per configuration, and the events (4, 2) and the accepted
+    events (4, 2) per [configuration, like-flavor], of one run."""
     p, a = _event_probabilities(config)
     pairs = gen.multinomial(int(config.n_events), [0.25] * 4)
     like = gen.binomial(pairs, p)
-    outcome = np.stack([pairs - like, like], axis=1)    # [configuration, like-flavor]
-    accepted = gen.binomial(outcome, a[:, None])
-    return np.stack([outcome - accepted, accepted], axis=2)
+    outcome = np.array([pairs - like, like]).T
+    return pairs, outcome, gen.binomial(outcome, a[:, None])
 
 
 def simulate(config: SimConfig) -> SimResult:
@@ -125,21 +127,17 @@ def simulate(config: SimConfig) -> SimResult:
     weighted model prediction; the standard error is binomial.
     """
     # PCG64 seeded by SeedSequence(config.seed); None draws fresh entropy
-    counts = _counts(config, np.random.default_rng(config.seed))
-    pair_counts = counts.sum(axis=(1, 2))
-    like_counts = counts[:, 1].sum(axis=1)
-    accepted_counts = counts[:, :, 1].sum(axis=1)
-    accepted_like = counts[:, 1, 1]
+    pairs, outcome, accepted = _draws(config, np.random.default_rng(config.seed))
+    accepted_like = accepted[:, 1]
     n = int(config.n_events)
-    estimate = float(accepted_like.sum()) / n
-    stderr = float(np.sqrt(estimate * (1.0 - estimate) / n))
+    estimate = float(sum(accepted_like.tolist())) / n
     return SimResult(
         estimate=estimate,
-        stderr=stderr,
+        stderr=math.sqrt(estimate * (1.0 - estimate) / n),
         n_events=n,
-        pair_counts=pair_counts,
-        like_counts=like_counts,
-        accepted_counts=accepted_counts,
+        pair_counts=pairs,
+        like_counts=outcome[:, 1],
+        accepted_counts=accepted[:, 0] + accepted_like,
         accepted_like_counts=accepted_like,
     )
 
@@ -170,7 +168,8 @@ def first_events(config: SimConfig, limit: int = 16) -> tuple[EventRecord, ...]:
     if not _is_integer(limit) or limit < 0:
         raise ValueError("limit must be a non-negative integer")
     gen = np.random.default_rng(config.seed)
-    urn = _counts(config, gen).ravel()      # cell 4 i + 2 like + accepted
+    _, outcome, accepted = _draws(config, gen)
+    urn = np.stack([outcome - accepted, accepted], axis=2).ravel()     # cell 4 i + 2 like + accepted
     records = []
     for _ in range(min(limit, config.n_events)):
         # the event drawn is the one at a uniform position among those left

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mesonbell import _chunks, fitting, lrm
@@ -22,6 +22,8 @@ from mesonbell.lrm import (
     RhoProfile,
     joint_probabilities,
     lrm_like_joint,
+    p21_conditional,
+    p43_conditional,
     rho_bounds,
 )
 from mesonbell.quantum import qm_like_joint, qm_unlike_joint
@@ -110,6 +112,84 @@ def test_outputs_do_not_depend_on_chunking_or_threads(chunk, size, layout, speci
         got = outcomes(params, rho, weights, t_a, t_b)
     assert len(got) == len(expected)
     assert all(same(x, y) for x, y in zip(got, expected))
+
+
+# Every array entry point as (params, rho, weights, t_a, t_b) -> its outputs, each
+# with the width of its last axis; evaluate_gap gives its table columns.
+ENTRY_POINTS = {
+    "qm_like_joint": lambda params, rho, weights, t_a, t_b: [(qm_like_joint(params, t_a, t_b), ())],
+    "qm_unlike_joint": lambda params, rho, weights, t_a, t_b: [(qm_unlike_joint(params, t_a, t_b), ())],
+    "joint_probabilities": lambda params, rho, weights, t_a, t_b: [
+        (joint_probabilities(params, rho, t_a, t_b), (4,))],
+    "lrm_like_joint": lambda params, rho, weights, t_a, t_b: [
+        (lrm_like_joint(params, rho, weights, t_a, t_b), ())],
+    "evaluate_gap": lambda params, rho, weights, t_a, t_b: [
+        (column, (4,) if name == "p" else ())
+        for name, column in vars(evaluate_gap(params, rho, weights, t_a, t_b)).items()],
+    "p21_conditional": lambda params, rho, weights, t_a, t_b: [(p21_conditional(params, rho, t_a, t_b), ())],
+    "p43_conditional": lambda params, rho, weights, t_a, t_b: [(p43_conditional(params, rho, t_a, t_b), ())],
+}
+ORDERED = ("p21_conditional", "p43_conditional")    # these need t_a <= t_b
+SPECIES = {"kaon": KAON, "bmeson": BMESON}
+RHO_KINDS = {kind: RhoProfile(kind) for kind in ("zero", "saturate_upper_short", "saturate_lower_short")}
+
+
+def at_one_pair(entry, params, rho, weights, t_a, t_b, n, k):
+    """The entry point's outputs at one pair, placed at index k of its n-point grid.
+
+    Each output is checked to have the grid's shape (evaluate_gap's at least
+    1-D) and its values at the pair are returned as bytes; an error comes back
+    as its type and text.
+    """
+    try:
+        outputs = ENTRY_POINTS[entry](SPECIES[params], RHO_KINDS[rho], weights, t_a, t_b)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    values = []
+    for out, width in outputs:
+        grid = np.shape(t_a) or ((1,) if entry == "evaluate_gap" else ())
+        assert np.shape(out) == grid + width
+        assert isinstance(out, float) == (grid + width == ())
+        values.append(np.asarray(out).reshape((n,) + width)[k].tobytes())
+    return values
+
+
+# -0.0 and 0.0 each come up often; times in units of 1/gamma_s
+unit_times = st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(0.0, 6.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(entry=st.sampled_from(sorted(ENTRY_POINTS)), params=st.sampled_from(sorted(SPECIES)),
+       rho=st.sampled_from(sorted(RHO_KINDS)), callables=st.lists(st.booleans(), min_size=4, max_size=4),
+       u_a=unit_times, u_b=unit_times,
+       bad=st.sampled_from([None, None, np.nan, np.inf, -np.inf, -1e-9, -5e-324]), bad_in_t_b=st.booleans(),
+       n=st.integers(2, 40), k=st.integers(0, 39), stride=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+@example(entry="lrm_like_joint", params="kaon", rho="zero", callables=[True, False, False, False],
+         u_a=-0.0, u_b=-0.0, bad=None, bad_in_t_b=False, n=5, k=2, stride=2, seed=0)
+@example(entry="p21_conditional", params="bmeson", rho="zero", callables=[False] * 4,
+         u_a=-0.0, u_b=1.0, bad=-5e-324, bad_in_t_b=True, n=5, k=4, stride=3, seed=0)
+def test_one_pair_gives_the_same_bits_and_errors_in_every_form(entry, params, rho, callables, u_a, u_b,
+                                                               bad, bad_in_t_b, n, k, stride, seed):
+    g = SPECIES[params].gamma_s
+    t_a, t_b = u_a / g, u_b / g
+    if bad is not None:
+        t_a, t_b = (t_a, bad) if bad_in_t_b else (bad, t_b)
+    weights = EfficiencyWeights(*(callable_weight(i) if c else 0.25 * (i + 1) for i, c in enumerate(callables)))
+    # the other grid points are ordered pairs where the profile is admissible
+    k = k % n
+    rng = np.random.default_rng(seed)
+    lo, hi = (0.5, 2.0) if (params, rho) == ("bmeson", "saturate_upper_short") else (3.0, 4.0)
+    grid = np.sort(rng.uniform(lo, hi, (n * stride, 2)) / g, axis=1)
+    grid[k * stride] = t_a, t_b
+    forms = [(t_a, t_b, 1, 0), (np.array(t_a), np.array(t_b), 1, 0),
+             (np.array([t_a]), np.array([t_b]), 1, 0), (grid[::stride, 0], grid[::stride, 1], n, k)]
+    got = [at_one_pair(entry, params, rho, weights, *form) for form in forms]
+    assert got[1:] == got[:1] * 3
+    if bad is not None:
+        assert got[0] == ("ValueError", "proper times must be finite and non-negative")
+    elif rho == "zero" and not (entry in ORDERED and t_b < t_a):
+        # -0.0 is a time like 0.0; rho = zero is admissible everywhere
+        assert isinstance(got[0], list)
 
 
 def test_inadmissible_rho_raises_at_the_first_offending_pair(monkeypatch):

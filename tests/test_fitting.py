@@ -315,6 +315,20 @@ def test_fit_reaches_the_optimum_where_descent_stopped_short(eta):
         assert result.max_abs_gap < 5.665e-3
 
 
+@pytest.mark.parametrize("params, rho", [(KAON, ZERO), (BMESON, ZERO), (KAON, SAT_UP)],
+                         ids=["kaon-zero", "bmeson-zero", "kaon-saturate_upper_short"])
+@pytest.mark.parametrize("tb_factor", [2.0, 0.5])
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_reported_objective_has_the_bits_of_the_evaluated_gap(params, rho, tb_factor, objective):
+    # the fit's max_gap and the gap column of its curve come from one sum;
+    # p @ a / 4 - qm differed in the last bit for 6 of these 108 fits
+    t_a, t_b = default_grid(params, tb_factor=tb_factor)
+    for eta in np.arange(1, 10) / 10:
+        result = fit_constant_weights(FitProblem(params, rho, float(eta), t_a, t_b, objective))
+        gap = evaluate_gap(params, rho, result.weights, t_a, t_b).gap
+        assert result.max_abs_gap == fitting._objective_value(gap, objective), eta
+
+
 def test_trivial_weights_build_one_table_per_evaluation(monkeypatch):
     problem = FitProblem.on_default_grid(BMESON, ZERO, 0.3)
     result = trivial_weights(problem)

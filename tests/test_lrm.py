@@ -1,3 +1,4 @@
+import re
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -371,6 +372,22 @@ def test_weight_validation():
     w = EfficiencyWeights(0.5, lambda ta, tb: np.full(np.shape(ta), np.nan), 0.5, 0.5)
     with pytest.raises(WeightRangeError, match=r"; got nan$"):
         w.values(np.array([1 / G, 2 / G]), 2 / G)
+
+
+@pytest.mark.parametrize("t_a, t_b, grid", [(1 / G, 2 / G, ()), (np.array([1 / G, 2 / G, 3 / G]), 4 / G, (3,))])
+def test_a_weight_that_does_not_fit_the_grid_is_named(t_a, t_b, grid):
+    # a callable returning two values at any times, as the third weight
+    weights = EfficiencyWeights(0.5, 0.5, lambda ta, tb: np.array([0.5, 0.5]), 0.5)
+    message = rf"^weight a3 has shape \(2,\), which does not broadcast to the time grid's shape {re.escape(str(grid))}$"
+    with pytest.raises(ValueError, match=message):
+        lrm_like_joint(KAON, ZERO, weights, t_a, t_b)
+    with pytest.raises(ValueError, match=message):
+        weights.values(t_a, t_b)
+    # values that do fit the grid, one value for a whole axis included, are broadcast over it
+    uniform = lrm_like_joint(KAON, ZERO, EfficiencyWeights.uniform(0.5), t_a, t_b)
+    for shape in {grid, grid[:-1] + (1,)[:len(grid)]}:
+        fits = EfficiencyWeights(lambda ta, tb: np.full(shape, 0.5), 0.5, 0.5, 0.5)
+        assert np.array_equal(lrm_like_joint(KAON, ZERO, fits, t_a, t_b), uniform)
 
 
 def test_weight_values_and_total_efficiency():

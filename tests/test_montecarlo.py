@@ -10,7 +10,7 @@ from scipy import stats
 
 from mesonbell.constants import BMESON, KAON
 from mesonbell.fitting import default_grid
-from mesonbell.lrm import EfficiencyWeights, RhoProfile, joint_probabilities, lrm_like_joint
+from mesonbell.lrm import EfficiencyWeights, RhoProfile, WeightRangeError, joint_probabilities, lrm_like_joint
 from mesonbell.montecarlo import (
     SimConfig,
     _bias_report,
@@ -189,6 +189,47 @@ def test_time_dependent_weights_are_evaluated_at_the_config_times():
     config = SimConfig(KAON, ZERO, weights, TimePair(1 / G, 2 / G), 200_000, 5)
     report = acceptance_bias_report(config)
     assert abs(report.rates[0] - np.exp(-1.0)) < 0.01
+
+
+def test_time_dependent_weights_are_checked_at_the_config_times():
+    # in range at t = 0, out of it at the config times (1/G, 2/G)
+    weights = EfficiencyWeights(lambda ta, tb: 1.0 + G * ta, 1.0, 1.0, 1.0)
+    weights.values(0.0, 0.0)
+    with pytest.raises(WeightRangeError, match=r"; got 2\.0$"):
+        simulate(SimConfig(KAON, ZERO, weights, TimePair(1 / G, 2 / G), 1000, 5))
+
+
+def test_a_weight_that_does_not_fit_the_time_pair_is_named():
+    weights = EfficiencyWeights(0.5, 0.5, lambda ta, tb: np.array([0.5, 0.5]), 0.5)
+    with pytest.raises(ValueError, match=r"^weight a3 has shape \(2,\), which does not broadcast "
+                                         r"to the time grid's shape \(\)$"):
+        simulate(SimConfig(KAON, ZERO, weights, TimePair(1 / G, 2 / G), 1000, 5))
+
+
+# Pair, like, accepted and accepted-like counts per configuration, as SimResult
+# reports them, for three seeded runs at (t_a, t_b) = (1, 2)/gamma_s.  The
+# draws of a seed must not change: `mc` prints them.
+PINNED_COUNTS = [
+    (KAON, (1.0, 0.13, 0.03, 0.04), 42, 10**6,
+     [[249194, 250018, 250056, 250732], [1978, 16933, 768, 6181],
+      [249194, 32082, 7602, 10102], [1978, 2142, 18, 286]]),
+    (KAON, (1.0, 0.13, 0.03, 0.04), 42, 10**7,
+     [[2497445, 2500057, 2500180, 2502318], [19787, 168661, 7419, 61946],
+      [2497445, 324029, 74727, 100349], [19787, 22098, 226, 2446]]),
+    (BMESON, (0.52, 0.08, 0.52, 0.08), 7, 10**6,
+     [[249934, 249597, 249604, 250865], [496, 3460, 499, 3476],
+      [130052, 20177, 129948, 20184], [254, 262, 250, 273]]),
+]
+
+
+@pytest.mark.parametrize("params, weights, seed, n_events, counts", PINNED_COUNTS,
+                         ids=["kaon-fig3-1e6", "kaon-fig3-1e7", "bmeson-fig4-1e6"])
+def test_seeded_counts_are_pinned(params, weights, seed, n_events, counts):
+    g = params.gamma_s
+    result = simulate(make_config(weights=weights, n_events=n_events, seed=seed, params=params,
+                                  t=TimePair(1 / g, 2 / g)))
+    assert result_counts(result).tolist() == counts
+    assert result.estimate == sum(counts[3]) / n_events
 
 
 def test_invalid_probability_regime_raises():
