@@ -349,6 +349,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # numpy raises a MemoryError subclass for a grid too large to allocate
+        print(f"error: MemoryError: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 def entry_point() -> None:

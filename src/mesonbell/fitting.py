@@ -69,7 +69,7 @@ def default_grid(params: OscillationParams, n: int = 200,
 
 @dataclass(frozen=True, eq=False)
 class FitProblem:
-    """One weight-fitting task over a fixed grid of time pairs."""
+    """One weight-fitting task over a fixed 1-D grid of time pairs; a scalar pair is one point."""
 
     params: OscillationParams
     rho: RhoProfile
@@ -83,10 +83,12 @@ class FitProblem:
             raise ValueError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
         if not (0.0 < self.eta <= 1.0):
             raise ValueError(f"target efficiency must lie in (0, 1], got {self.eta!r}")
-        t_a = np.asarray(self.grid_t_a, dtype=float)
-        t_b = np.asarray(self.grid_t_b, dtype=float)
+        t_a = np.atleast_1d(np.asarray(self.grid_t_a, dtype=float))
+        t_b = np.atleast_1d(np.asarray(self.grid_t_b, dtype=float))
         if t_a.size == 0 or t_a.shape != t_b.shape:
             raise ValueError("grid must be non-empty with matching t_a / t_b shapes")
+        if t_a.ndim > 1:
+            raise ValueError(f"grid must be 1-D, got t_a / t_b of shape {t_a.shape}")
         object.__setattr__(self, "grid_t_a", t_a)
         object.__setattr__(self, "grid_t_b", t_b)
 
@@ -101,11 +103,11 @@ class FitProblem:
 
 
 def _table_chunk(params, rho, t_a, t_b, p, qm):
-    """Fill one chunk of the (P, qm) tables; returns its P1..P4 in time order and swapped pairs."""
-    columns, swapped = _joint_columns(params, rho, t_a, t_b)
-    _store_joints(columns, swapped, p)
+    """Fill one chunk of the (P, qm) tables; returns its P1..P4."""
+    columns = _joint_columns(params, rho, t_a, t_b)
+    _store_joints(columns, p)
     _joint(params, np.sin, t_a, t_b, qm)
-    return columns, swapped
+    return columns
 
 
 def _tables(params, rho, t_a, t_b):
@@ -270,27 +272,14 @@ def fit_constant_weights(problem: FitProblem) -> FitResult:
     room = (1.0 - a if residual > 0.0 else a) + ((a > 0.0) & (a < 1.0))
     a[int(np.argmax(room))] += residual
     a = _on_bounds(a)
+    lrm = np.empty_like(qm)
+    _weighted_rate(p.T, a, lrm)     # summed as evaluate_gap sums it, so the gap has its bits
     return FitResult(
         weights=EfficiencyWeights.constant(*a),
         achieved_eta=float(a.mean()),
-        max_abs_gap=_objective_value(_gap(p, qm, problem.grid_t_a > problem.grid_t_b, a), problem.objective),
+        max_abs_gap=_objective_value(lrm - qm, problem.objective),
         iterations=int(res.nit),
     )
-
-
-def _gap(p, qm, swapped, a):
-    """LRM - QM for the weight row a on the (P, qm) tables, summed as ``evaluate_gap`` sums it.
-
-    The rows where t_a > t_b (``swapped``) go back to time order first, so the
-    gap has ``evaluate_gap``'s bits.
-    """
-    if np.count_nonzero(swapped):
-        p = np.where(swapped[:, None], p[:, ::-1], p)
-    else:
-        swapped = None
-    lrm = np.empty_like(qm)
-    _weighted_rate(p.T, swapped, a, lrm)
-    return lrm - qm
 
 
 @dataclass(frozen=True)
@@ -324,8 +313,7 @@ def evaluate_gap(params: OscillationParams, rho: RhoProfile, weights: Efficiency
     Time-dependent weights are evaluated once, at the caller's whole grid.
     """
     def kernel(t_a, t_b, a, p, qm, lrm, gap):
-        columns, swapped = _table_chunk(params, rho, t_a, t_b, p, qm)
-        _weighted_rate(columns, swapped, a, lrm)
+        _weighted_rate(_table_chunk(params, rho, t_a, t_b, p, qm), a, lrm)
         np.subtract(lrm, qm, out=gap)
 
     # a 1-D t_a keeps the table at least 1-D

@@ -68,12 +68,12 @@ initial hidden configuration.  The observed like-flavor rate is then
 which is where hidden-variable-correlated detection (the detection loophole)
 enters: unequal weights bias the post-selected sample.
 
-``joint_probabilities`` (the times' broadcast shape plus a last axis of 4)
-and ``lrm_like_joint`` (that shape, or a float at two scalar times) are each
-one call of the grid driver of ``mesonbell._chunks``.  Every value depends
-only on its own time pair, so the output is the same bits whatever the
-chunking, and an inadmissible rho raises at the first offending time pair
-in array order.
+``joint_probabilities`` (the times' broadcast shape plus a last axis of 4),
+``lrm_like_joint``, ``p21_conditional`` and ``p43_conditional`` (that shape,
+or a float at two scalar times) are each one call of the grid driver of
+``mesonbell._chunks``.  Every value depends only on its own time pair, so
+the output is the same bits whatever the chunking, and an inadmissible rho
+raises at the first offending time pair in array order.
 """
 
 from __future__ import annotations
@@ -324,16 +324,27 @@ def _require_ordered(t_a, t_b) -> None:
         raise TimeOrderingError("conditional flips require t_a <= t_b")
 
 
-def _increments(params: OscillationParams, rho: RhoProfile, t_a, t_b):
-    """Flip fractions (w2, w4) at t_a and the flips (p21, p43) within (t_a, t_b].
+def _increments(params: OscillationParams, rho: RhoProfile, t_a, t_b, branches=(0, 1)):
+    """Flip fractions (w2, w4) at t_a, then the flips within (t_a, t_b] of the branches asked for.
 
-    The callers have already checked the times.  An inadmissible rho raises
-    at the first offending pair (t_a, t_b), at t_a before t_b.
+    Branch 0 is p21 and branch 1 is p43.  The callers have already checked
+    the times.  An inadmissible rho raises at the first offending pair
+    (t_a, t_b), at t_a before t_b.
     """
-    (w2, w4), (w2_b, w4_b) = rho._check_fractions(params, t_a, t_b)
-    dt = np.asarray(t_b, dtype=float) - np.asarray(t_a, dtype=float)
-    return (w2, w4, np.exp(-params.gamma_s * dt) * (w2_b - w2),
-            np.exp(-params.gamma_l * dt) * (w4_b - w4))
+    at_a, at_b = rho._check_fractions(params, t_a, t_b)
+    dt = t_b - t_a
+    gammas = (params.gamma_s, params.gamma_l)
+    return (*at_a, *(np.exp(-gammas[k] * dt) * (at_b[k] - at_a[k]) for k in branches))
+
+
+def _conditional(params: OscillationParams, rho: RhoProfile, branch: int, t_a, t_b):
+    """p21 (branch 0) or p43 (branch 1) within (t_a, t_b], one call of the grid driver."""
+    _require_ordered(t_a, t_b)
+
+    def kernel(t_a, t_b, out):
+        out[:] = _increments(params, rho, t_a, t_b, (branch,))[2]
+
+    return _on_chunks(kernel, t_a, t_b, ())[2]
 
 
 def p21_conditional(params: OscillationParams, rho: RhoProfile, t_a, t_b):
@@ -342,58 +353,52 @@ def p21_conditional(params: OscillationParams, rho: RhoProfile, t_a, t_b):
     Exactly zero at t_b = t_a.  Negative values flag the turnover region of
     the simplified model (see module docstring); they are not clamped.
     """
-    _require_ordered(t_a, t_b)
-    out = _increments(params, rho, t_a, t_b)[2]
-    return out if out.ndim else float(out)
+    return _conditional(params, rho, 0, t_a, t_b)
 
 
 def p43_conditional(params: OscillationParams, rho: RhoProfile, t_a, t_b):
     """Long-branch flip probability within (t_a, t_b], survival included."""
-    _require_ordered(t_a, t_b)
-    out = _increments(params, rho, t_a, t_b)[3]
-    return out if out.ndim else float(out)
+    return _conditional(params, rho, 1, t_a, t_b)
 
 
 def _joint_columns(params: OscillationParams, rho: RhoProfile, t_a, t_b):
-    """P1..P4 of a chunk at its times sorted per pair, and the pairs where t_a > t_b (None if none).
+    """P1..P4 of a chunk, relabelled where t_a > t_b (module docstring).
 
     The chunk kernel behind every P_i observable; the caller has checked the times.
     """
     swapped = t_a > t_b
-    if np.count_nonzero(swapped):
+    relabel = np.count_nonzero(swapped)
+    if relabel:
         t_a, t_b = np.minimum(t_a, t_b), np.maximum(t_a, t_b)
-    else:
-        swapped = None
     w2, w4, c21, c43 = _increments(params, rho, t_a, t_b)
     first = np.exp(-params.gamma_s * t_a) * np.exp(-params.gamma_l * t_a)
     columns = (first * w2 * c43, first * (1.0 - w2) * c43,
                first * w4 * c21, first * (1.0 - w4) * c21)
-    return columns, swapped
+    if not relabel:
+        return columns
+    return [np.where(swapped, mirror, column) for column, mirror in zip(columns, columns[::-1])]
 
 
-def _store_joints(columns, swapped, out) -> None:
-    """Write P1..P4 into the (m, 4) out, relabelled where t_a > t_b (module docstring)."""
+def _store_joints(columns, out) -> None:
+    """Write P1..P4 into the (m, 4) out."""
     for j, column in enumerate(columns):
         # + 0.0 turns the -0.0 of first * 0.0 * (negative flip) into 0.0
         np.add(column, 0.0, out=out[:, j])
-    if swapped is not None:
-        out[swapped] = out[swapped, ::-1]
 
 
-def _weighted_rate(columns, swapped, a, out) -> None:
-    """(1/4) (0.0 + a1 P1 + a2 P2 + a3 P3 + a4 P4) into out, for one (4,) weight row or (m, 4) rows a.
+def _weighted_rate(columns, a, out) -> None:
+    """(1/4) ((a1 P1 + a4 P4) + (a2 P2 + a3 P3)) + 0.0 into out, for a (4,) row or (m, 4) rows a.
 
-    That order is np.sum's over an axis of four, signed zeros included.
-    Relabelled pairs (the mask ``swapped``, or None for none) sum in time
-    order, so both time orders agree bit for bit.
+    The relabelling in ``_joint_columns`` swaps the two terms inside each
+    parenthesis, and IEEE addition of two terms is commutative, so the rate
+    at (t_a, t_b) with a1..a4 has the bits of the rate at (t_b, t_a) with
+    a4..a1.  The final + 0.0 turns a -0.0 into 0.0.
     """
-    if swapped is not None:
-        a = np.where(swapped[:, None], a[..., ::-1], a)
     np.multiply(columns[0], a[..., 0], out=out)
-    out += 0.0
-    for j in (1, 2, 3):
-        out += columns[j] * a[..., j]
+    out += columns[3] * a[..., 3]
+    out += columns[1] * a[..., 1] + columns[2] * a[..., 2]
     out *= 0.25
+    out += 0.0
 
 
 def joint_probabilities(params: OscillationParams, rho: RhoProfile, t_a, t_b):
@@ -402,7 +407,7 @@ def joint_probabilities(params: OscillationParams, rho: RhoProfile, t_a, t_b):
     Either time order: for t_a > t_b the sides are relabelled (module docstring).
     """
     def kernel(t_a, t_b, out):
-        _store_joints(*_joint_columns(params, rho, t_a, t_b), out)
+        _store_joints(_joint_columns(params, rho, t_a, t_b), out)
 
     _, _, p = _on_chunks(kernel, t_a, t_b, (4,))
     return p
@@ -494,7 +499,7 @@ def lrm_like_joint(params: OscillationParams, rho: RhoProfile, weights: Efficien
     Time-dependent weights are evaluated at the caller's (t_a, t_b).
     """
     def kernel(t_a, t_b, a, out):
-        _weighted_rate(*_joint_columns(params, rho, t_a, t_b), a, out)
+        _weighted_rate(_joint_columns(params, rho, t_a, t_b), a, out)
 
     _, _, rate = _on_chunks(kernel, t_a, t_b, (), rows_at=partial(_weight_rows, weights))
     return rate

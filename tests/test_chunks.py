@@ -62,13 +62,19 @@ def callable_weight(phase):
 
 
 def outcomes(params, rho, weights, t_a, t_b):
-    """Every output of the array entry points, or the error they raise."""
+    """Every output of the array entry points, or the errors they raise."""
     out = [qm_like_joint(params, t_a, t_b), qm_unlike_joint(params, t_a, t_b)]
     try:
         table = evaluate_gap(params, rho, weights, t_a, t_b)
         out += [joint_probabilities(params, rho, t_a, t_b), lrm_like_joint(params, rho, weights, t_a, t_b),
                 *fitting._tables(params, rho, t_a, t_b),
                 table.t_a, table.t_b, table.qm, table.lrm, table.p, table.gap]
+    except InadmissibleRhoError as exc:
+        out.append(("inadmissible", exc.t))
+    # the conditional flips on the same grid, each pair put in time order
+    ordered_t_b = np.maximum(t_a, t_b)
+    try:
+        out += [p21_conditional(params, rho, t_a, ordered_t_b), p43_conditional(params, rho, t_a, ordered_t_b)]
     except InadmissibleRhoError as exc:
         out.append(("inadmissible", exc.t))
     return out

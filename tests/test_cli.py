@@ -215,6 +215,14 @@ def test_overflowing_time_rule_is_one_error_line(capsys):
     assert code == 1 and err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", [["curve"], ["fit", "--eta", "0.3"]])
+def test_a_grid_too_large_to_allocate_is_one_error_line(capsys, command):
+    # 1e15 points take 8 PB per time axis, which numpy refuses at once
+    code, out, err = run(capsys, *command, "--grid", "0.2:5:1000000000000000")
+    assert code == 1 and out == ""
+    assert err.startswith("error: MemoryError: ") and len(err.splitlines()) == 1
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 300) | st.floats() | st.text(max_size=10),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),

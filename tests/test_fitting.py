@@ -113,6 +113,23 @@ def test_problem_validation():
         FitProblem(KAON, ZERO, 0.3, np.array([]), np.array([]))
 
 
+def test_problem_grid_is_one_axis_of_points():
+    t_a, t_b = default_grid(KAON)
+    # a 2-D grid is refused by name, before either solver sees it
+    with pytest.raises(ValueError, match=r"grid must be 1-D, got t_a / t_b of shape \(2, 100\)"):
+        FitProblem(KAON, ZERO, 0.3, t_a.reshape(2, 100), t_b.reshape(2, 100))
+    # a scalar pair is one point, and both solvers treat it as the 1-point grid
+    k = 50
+    scalar = FitProblem(KAON, ZERO, 0.3, float(t_a[k]), float(t_b[k]))
+    one_point = FitProblem(KAON, ZERO, 0.3, t_a[k:k + 1], t_b[k:k + 1])
+    assert scalar.grid_t_a.shape == scalar.grid_t_b.shape == (1,)
+    assert fit_constant_weights(scalar) == fit_constant_weights(one_point)
+    trivial, expected = trivial_weights(scalar), trivial_weights(one_point)
+    for name in ("raw_ratios", "supported", "capped", "feasible", "pointwise_eta"):
+        assert np.array_equal(getattr(trivial, name), getattr(expected, name))
+    assert np.array_equal(trivial.weights.values(t_a, t_b), expected.weights.values(t_a, t_b))
+
+
 def test_trivial_weights_bmeson_has_feasible_window():
     problem = FitProblem.on_default_grid(BMESON, ZERO, 0.3)
     result = trivial_weights(problem)

@@ -1,4 +1,6 @@
 import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mesonbell.constants import BMESON, KAON, OscillationParams
-from mesonbell.fitting import FitProblem, default_grid, trivial_weights
+from mesonbell.fitting import FitProblem, default_grid, evaluate_gap, trivial_weights
 from mesonbell.lrm import (
     HIDDEN_STATES,
     INITIAL_PAIRS,
@@ -246,6 +248,22 @@ def test_conditional_requires_time_order():
                           joint_probabilities(KAON, ZERO, 1 / G, 2 / G)[::-1])
 
 
+def test_conditional_flips_run_in_chunks():
+    # one warm call on 1e6 pairs holds its 8 MB output plus a few chunks'
+    # temporaries, not whole-grid temporaries
+    t_a = np.linspace(0.2, 5.0, 1_000_000) / G
+    t_b = 2.0 * t_a
+    expected = p21_conditional(KAON, ZERO, t_a, t_b)
+    tracemalloc.start()
+    try:
+        got = p21_conditional(KAON, ZERO, t_a, t_b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, expected)
+    assert peak < 12 * 2**20
+
+
 def test_conditional_matches_published_form():
     # cross-check the factored evaluation against the literal
     # E_S^{-1}(ta) [p21(tb|0) - p21(ta|0) E_S(tb-ta)] expression
@@ -454,19 +472,38 @@ def test_joint_probabilities_relabel_under_time_swap(params, rho, pairs):
     assert np.array_equal(forward, joint_probabilities(params, rho, t_b, t_a)[..., ::-1])
 
 
+def _per_point(scale, i):
+    # a weight in [0, 1] that is not symmetric in its two times
+    return lambda t_a, t_b: scale * (0.5 + 0.5 * np.sin(G * np.asarray(t_a) - 3.0 * G * np.asarray(t_b) + i))
+
+
 @settings(max_examples=100, deadline=None)
 @given(params=_SPECIES, rho=_PROFILES, pairs=_TIME_PAIRS,
-       a=st.tuples(*[st.floats(0.0, 1.0)] * 4))
-def test_lrm_like_joint_swap_symmetry_with_reversed_weights(params, rho, pairs, a):
+       a=st.tuples(*[st.floats(0.0, 1.0)] * 4), per_point=st.booleans())
+def test_lrm_like_joint_swap_symmetry_with_reversed_weights(params, rho, pairs, a, per_point):
+    # P_i at (t_a, t_b) is P_{5-i} at (t_b, t_a), so the rate with a1..a4 at (t_a, t_b) has the
+    # bits of the rate with w_rev_i(x, y) = a_{5-i}(y, x) at (t_b, t_a): the pairs of terms
+    # (a1 P1, a4 P4) and (a2 P2, a3 P3) swap within themselves, and adding two floats commutes
     t_a, t_b = _times(params, pairs)
-    w, w_rev = EfficiencyWeights.constant(*a), EfficiencyWeights.constant(*a[::-1])
+    if per_point:
+        funcs = [_per_point(scale, i) for i, scale in enumerate(a)]
+        w = EfficiencyWeights(*funcs)
+        w_rev = EfficiencyWeights(*(lambda x, y, f=f: f(y, x) for f in funcs[::-1]))
+    else:
+        w, w_rev = EfficiencyWeights.constant(*a), EfficiencyWeights.constant(*a[::-1])
     try:
         forward = lrm_like_joint(params, rho, w, t_a, t_b)
+        table = evaluate_gap(params, rho, w, t_a, t_b)
     except InadmissibleRhoError:
         with pytest.raises(InadmissibleRhoError):
             lrm_like_joint(params, rho, w_rev, t_b, t_a)
+        with pytest.raises(InadmissibleRhoError):
+            evaluate_gap(params, rho, w_rev, t_b, t_a)
         return
     assert np.array_equal(forward, lrm_like_joint(params, rho, w_rev, t_b, t_a))
+    backward = evaluate_gap(params, rho, w_rev, t_b, t_a)
+    assert backward.lrm.tobytes() == table.lrm.tobytes()
+    assert backward.gap.tobytes() == table.gap.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
