@@ -27,12 +27,12 @@ again = mb.simulate(config)
 print(f"re-run with the same seed identical: {result.estimate == again.estimate}")
 
 # the bias in event form: acceptance rate per hidden configuration
-bias = mb.acceptance_bias_report(config)
+rates = result.acceptance_rates
 print("\nacceptance rates per initial configuration (target = weights):")
 for i, (left, right) in enumerate(mb.INITIAL_PAIRS):
-    print(f"  ({left.label},{right.label})  rate = {bias.rates[i]:.4f}"
+    print(f"  ({left.label},{right.label})  rate = {rates[i]:.4f}"
           f"   target = {weights.as_tuple()[i]:.2f}"
-          f"   kept {bias.accepted_counts[i]}/{bias.pair_counts[i]}")
+          f"   kept {result.accepted_counts[i]}/{result.pair_counts[i]}")
 
 # a handful of raw events
 print("\nfirst events of the stream:")

@@ -63,15 +63,7 @@ from .bell import (
     singlet_photon_correlations,
     threshold_check,
 )
-from .montecarlo import (
-    AcceptanceBiasReport,
-    EventRecord,
-    SimConfig,
-    SimResult,
-    acceptance_bias_report,
-    first_events,
-    simulate,
-)
+from .montecarlo import EventRecord, SimConfig, SimResult, first_events, simulate
 
 __version__ = "0.1.0"
 
@@ -98,6 +90,5 @@ __all__ = [
     "EFFICIENCY_THRESHOLD_MAXIMAL", "EFFICIENCY_THRESHOLD_NONMAXIMAL",
     "chs_sum", "lhv_bound_brute_force", "singlet_photon_correlations", "threshold_check",
     # montecarlo
-    "SimConfig", "SimResult", "EventRecord", "AcceptanceBiasReport",
-    "simulate", "acceptance_bias_report", "first_events",
+    "SimConfig", "SimResult", "EventRecord", "simulate", "first_events",
 ]

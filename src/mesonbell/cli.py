@@ -33,7 +33,7 @@ from .bell import EXPECTED_B_TAGGING_EFFICIENCY, NO_BACKGROUND_CAVEAT, threshold
 from .constants import semileptonic_total, species_params
 from .fitting import FitProblem, _objective_value, evaluate_gap, fit_constant_weights
 from .lrm import EfficiencyWeights, RhoProfile, lrm_like_joint
-from .montecarlo import SimConfig, _bias_report, simulate
+from .montecarlo import SimConfig, simulate
 from .quantum import TimePair
 
 __all__ = ["main", "entry_point", "PRESETS"]
@@ -124,7 +124,12 @@ def _parse_tb_rule(text: str) -> tuple[float, float]:
 
 def _build_rho(spec) -> RhoProfile:
     if isinstance(spec, dict):
+        unknown = set(spec) - {"kind", "knots"}
+        if unknown:
+            raise CliError(f"unknown rho config keys: {sorted(unknown)}")
         kind = spec.get("kind")
+        if "knots" in spec and kind != "tabulated":
+            raise CliError(f"rho knots are only meaningful for kind 'tabulated', not {kind!r}")
         if kind == "tabulated":
             try:
                 return RhoProfile.tabulated(spec["knots"])
@@ -287,7 +292,6 @@ def cmd_mc(args: argparse.Namespace) -> int:
         seed=scenario["seed"],
     )
     result = simulate(config)
-    bias = _bias_report(result)
     analytic = lrm_like_joint(scenario["params"], scenario["rho"], scenario["weights"], t_a, t_b)
     scale = _time_scale(scenario)
     print(f"species         = {scenario['params'].species}")
@@ -299,10 +303,9 @@ def cmd_mc(args: argparse.Namespace) -> int:
     print(f"analytic_lrm    = {_FMT.format(analytic)}")
     if result.stderr > 0.0:
         print(f"pull            = {(result.estimate - analytic) / result.stderr:+.3f} sigma")
-    for i in range(4):
-        rate = bias.rates[i]
+    for i, rate in enumerate(result.acceptance_rates):
         rate_text = _FMT.format(rate) if np.isfinite(rate) else "n/a"
-        print(f"acceptance[{i + 1}]   = {rate_text}  ({bias.accepted_counts[i]}/{bias.pair_counts[i]})")
+        print(f"acceptance[{i + 1}]   = {rate_text}  ({result.accepted_counts[i]}/{result.pair_counts[i]})")
     return 0
 
 

@@ -4,21 +4,12 @@ Natural units (hbar = c = 1): proper times in seconds, decay rates and mass
 splittings in 1/s, probabilities dimensionless.  Central values carry their
 one-sigma uncertainties for reporting; all downstream computation uses the
 central values only.
-
-The registry can be overridden from a JSON file whose keys mirror the field
-names, e.g.::
-
-    {"kaon": {"gamma_s": 1.12e10}, "bmeson": {"delta_m": 0.47e12}}
-
-Keys that are absent fall back to the registry defaults.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, replace
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Mapping
 
 __all__ = [
@@ -117,48 +108,17 @@ BRANCHING: tuple[BranchingRecord, ...] = (
     BranchingRecord("B0", "l+ nu_l pi-", 1.8e-4, 0.6e-4, tagging=False),
 )
 
-_OVERRIDABLE = ("gamma_s", "gamma_l", "delta_m", "gamma_s_err", "gamma_l_err", "delta_m_err")
-
-
-def _load_overrides(config: str | Path | Mapping) -> Mapping:
-    if isinstance(config, Mapping):
-        return config
-    return json.loads(Path(config).read_text(encoding="utf-8"))
-
-
-def species_params(species: str, config: str | Path | Mapping | None = None) -> OscillationParams:
+def species_params(species: str) -> OscillationParams:
     """Registry oscillation parameters for ``species`` ("kaon" or "bmeson").
 
-    ``config`` may be a mapping or a path to a JSON file keyed by species tag;
-    only the keys present override the defaults.  Malformed overrides (not an
-    object, an unknown key, a value that is not an int or float) raise ValueError.
+    For other values, ``dataclasses.replace(species_params("kaon"), gamma_l=2.0e7)``
+    gives a copy that ``OscillationParams`` checks like any other.
     """
     try:
-        params = SPECIES[species]
+        return SPECIES[species]
     except KeyError:
         known = ", ".join(sorted(SPECIES))
         raise ValueError(f"unknown species {species!r}; expected one of: {known}") from None
-    if config is None:
-        return params
-    overrides = _load_overrides(config)
-    if not isinstance(overrides, Mapping):
-        raise ValueError(f"constant overrides must be an object keyed by species, got {overrides!r}")
-    overrides = overrides.get(species, {})
-    if not isinstance(overrides, Mapping):
-        raise ValueError(f"overrides for {species} must be an object, got {overrides!r}")
-    unknown = set(overrides) - set(_OVERRIDABLE)
-    if unknown:
-        raise ValueError(f"unknown override keys for {species}: {sorted(unknown)}")
-    values = {}
-    for key, value in overrides.items():
-        # bool is an int subclass, but true is not a rate
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"override {species}.{key} must be a number, got {value!r}")
-        try:
-            values[key] = float(value)
-        except OverflowError:
-            raise ValueError(f"override {species}.{key} is too large for a float") from None
-    return replace(params, **values)
 
 
 def branching_records(parent: str | None = None) -> tuple[BranchingRecord, ...]:

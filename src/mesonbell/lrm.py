@@ -472,9 +472,11 @@ class EfficiencyWeights:
         _validate_weight_values(out)
         return out
 
-    def total_efficiency(self, t_a=0.0, t_b=0.0) -> float:
-        """Mean of the four weights, evaluated at (t_a, t_b) if time-dependent."""
-        return float(np.mean(self.values(t_a, t_b), axis=-1))
+    def total_efficiency(self, t_a=0.0, t_b=0.0):
+        """Mean of the four weights, evaluated at (t_a, t_b) if time-dependent:
+        an array of the times' broadcast shape, or a float at two scalar times."""
+        mean = np.mean(self.values(t_a, t_b), axis=-1)
+        return mean if mean.ndim else float(mean)
 
 
 def _validate_weight_values(values: np.ndarray) -> None:

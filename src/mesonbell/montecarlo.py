@@ -5,8 +5,9 @@ probability 1/4, realizes the like-flavor outcome at the configured time
 pair with probability P_i, and passes the detector with probability a_i.
 The accepted-like-flavor fraction therefore estimates the weighted model
 prediction (1/4) sum_i a_i P_i, while the per-configuration acceptance
-rates expose the sampling bias directly: with unequal weights the detected
-subsample no longer represents the produced ensemble.
+rates (``SimResult.acceptance_rates``) expose the sampling bias directly:
+with unequal weights the detected subsample no longer represents the
+produced ensemble.
 
 A run is summarized by its 16 counts [configuration, like-flavor, accepted],
 and their joint law is exact and hierarchical, so they are drawn directly
@@ -37,9 +38,7 @@ __all__ = [
     "SimConfig",
     "EventRecord",
     "SimResult",
-    "AcceptanceBiasReport",
     "simulate",
-    "acceptance_bias_report",
     "first_events",
 ]
 
@@ -83,18 +82,17 @@ class SimResult:
     accepted_counts: np.ndarray         # (4,) accepted events per configuration
     accepted_like_counts: np.ndarray    # (4,) accepted like-flavor events
 
+    @property
+    def acceptance_rates(self) -> np.ndarray:
+        """Empirical acceptance rate per initial configuration, (4,), nan where a
+        configuration never occurred.
 
-@dataclass(frozen=True)
-class AcceptanceBiasReport:
-    """Empirical acceptance rate per initial configuration.
-
-    Rates converge to the configured weights; unequal rates are the
-    detection loophole in event form.
-    """
-
-    rates: np.ndarray                   # (4,), nan where a configuration never occurred
-    pair_counts: np.ndarray
-    accepted_counts: np.ndarray
+        Rates converge to the configured weights; unequal rates are the
+        detection loophole in event form.
+        """
+        return np.where(self.pair_counts > 0,
+                        self.accepted_counts / np.maximum(self.pair_counts, 1),
+                        np.nan)
 
 
 def _event_probabilities(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -139,24 +137,6 @@ def simulate(config: SimConfig) -> SimResult:
         like_counts=outcome[:, 1],
         accepted_counts=accepted[:, 0] + accepted_like,
         accepted_like_counts=accepted_like,
-    )
-
-
-def acceptance_bias_report(config: SimConfig) -> AcceptanceBiasReport:
-    """Per-configuration acceptance rates from the same event stream as simulate."""
-    return _bias_report(simulate(config))
-
-
-def _bias_report(result: SimResult) -> AcceptanceBiasReport:
-    """Per-configuration acceptance rates of an already simulated stream."""
-    with np.errstate(invalid="ignore"):
-        rates = np.where(result.pair_counts > 0,
-                         result.accepted_counts / np.maximum(result.pair_counts, 1),
-                         np.nan)
-    return AcceptanceBiasReport(
-        rates=rates,
-        pair_counts=result.pair_counts,
-        accepted_counts=result.accepted_counts,
     )
 
 

@@ -189,13 +189,15 @@ def asymmetry(
 # names (for instance to wrap them with timers).
 _QM_JOINTS = (qm_like_joint, qm_unlike_joint)
 
+# Subdivisions the cubature of user-supplied providers may make before it gives up.
+_MAX_SUBDIVISIONS = 200
+
 
 def integrated_ratio(
     params: OscillationParams,
     like_joint: JointProvider = qm_like_joint,
     unlike_joint: JointProvider = qm_unlike_joint,
     rel_tol: float = 1e-8,
-    _limit: int = 200,
 ) -> float:
     """Ratio of time-integrated like- to unlike-flavor joint probabilities.
 
@@ -216,7 +218,7 @@ def integrated_ratio(
     [0, 40/gamma_l]^2, which drops a tail of relative weight e^{-40}; the
     box is split at 30/gamma_s on both axes so the short-lived corner gets
     its own regions.  Each provider is called with whole arrays of times,
-    and ``_limit`` caps the number of subdivisions.
+    and the cubature makes at most 200 subdivisions.
 
     Raises QuadratureError when the cubature does not converge or its error
     estimate for the ratio exceeds ``rel_tol``.
@@ -242,10 +244,10 @@ def integrated_ratio(
     t_short = 30.0 / params.gamma_s
     # half of rel_tol per integral bounds the ratio's relative error by rel_tol
     res = integrate.cubature(joints, [0.0, 0.0], [t_max, t_max], rtol=0.5 * rel_tol, atol=0.0,
-                             max_subdivisions=_limit, points=[(t_short, t_short)])
+                             max_subdivisions=_MAX_SUBDIVISIONS, points=[(t_short, t_short)])
     if res.status != "converged":
         raise QuadratureError(
-            f"cubature did not converge within {_limit} subdivisions (rel_tol={rel_tol:g})"
+            f"cubature did not converge within {_MAX_SUBDIVISIONS} subdivisions (rel_tol={rel_tol:g})"
         )
     (num, den), (num_err, den_err) = res.estimate, res.error
     if den <= 0.0:

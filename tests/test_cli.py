@@ -192,6 +192,8 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     ("mc", {"seed": [1]}), ("curve", {"grid": None}), ("curve", {"eta": "0.3"}),
     ("curve", {"grid": [0.2, 5, 2.5]}), ("curve", {"rho": {"kind": "tabulated"}}),
     ("curve", {"weights": [10**400, 0, 0, 0]}), ("fit", {"eta": 10**400}),
+    ("curve", {"rho": {"kind": "zero", "knots": [[0, 1e-12], [1, 2e-12]]}}),
+    ("curve", {"rho": {"kind": "zero", "typo": 3}}),
 ], ids=lambda v: v if v in ("curve", "mc", "fit") else json.dumps(v)[:32])
 def test_bad_config_values_are_single_line_errors(tmp_path, capsys, command, config):
     path = tmp_path / "bad.json"

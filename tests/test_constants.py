@@ -1,5 +1,4 @@
 import dataclasses
-import json
 
 import pytest
 
@@ -59,6 +58,11 @@ def test_params_validation():
         OscillationParams("x", gamma_s=1.0, gamma_l=1.0, delta_m=-1.0)
     # delta_m = 0 is a legitimate no-oscillation limit
     OscillationParams("x", gamma_s=1.0, gamma_l=1.0, delta_m=0.0)
+    # other values than the registry's: a checked copy, the registry untouched
+    assert dataclasses.replace(KAON, gamma_l=2.0e7).gamma_l == 2.0e7
+    with pytest.raises(ValueError, match="gamma_s must be >= gamma_l"):
+        dataclasses.replace(KAON, gamma_l=2.0e10)
+    assert KAON.gamma_l == 1.934e7
 
 
 def test_semileptonic_totals():
@@ -90,47 +94,3 @@ def test_branching_records_filter():
     assert all(r.parent == "B0" for r in branching_records("B0"))
     assert len(branching_records("B0")) == 3
 
-
-def test_json_override(tmp_path):
-    path = tmp_path / "constants.json"
-    path.write_text(json.dumps({"kaon": {"gamma_s": 1.2e10, "delta_m_err": 0.0}}))
-    k = species_params("kaon", config=path)
-    assert k.gamma_s == 1.2e10
-    assert k.delta_m_err == 0.0
-    # absent keys fall back to the registry
-    assert k.gamma_l == KAON.gamma_l
-    assert k.delta_m == KAON.delta_m
-    # the registry itself is untouched
-    assert KAON.gamma_s == 1.1192e10
-
-
-def test_mapping_override_and_unknown_key():
-    k = species_params("kaon", config={"kaon": {"gamma_l": 2.0e7}})
-    assert k.gamma_l == 2.0e7
-    with pytest.raises(ValueError, match="unknown override"):
-        species_params("kaon", config={"kaon": {"mass": 1.0}})
-
-
-MALFORMED_OVERRIDES = [
-    ('[1, 2]', "must be an object keyed by species"),
-    ('5', "must be an object keyed by species"),
-    ('"5e9"', "must be an object keyed by species"),
-    ('{"kaon": 5}', "overrides for kaon must be an object"),
-    ('{"kaon": [1.0]}', "overrides for kaon must be an object"),
-    ('{"kaon": {"gamma_s": null}}', "kaon.gamma_s must be a number"),
-    ('{"kaon": {"gamma_s": true}}', "kaon.gamma_s must be a number"),
-    ('{"kaon": {"delta_m": "5e9"}}', "kaon.delta_m must be a number"),
-    ('{"kaon": {"gamma_l_err": [1]}}', "kaon.gamma_l_err must be a number"),
-    ('{"kaon": {"gamma_s": 1' + "0" * 400 + '}}', "kaon.gamma_s is too large"),
-]
-
-
-@pytest.mark.parametrize("text, message", MALFORMED_OVERRIDES, ids=[text[:32] for text, _ in MALFORMED_OVERRIDES])
-def test_malformed_overrides_are_value_errors(tmp_path, text, message):
-    path = tmp_path / "constants.json"
-    path.write_text(text)
-    config = json.loads(text)
-    # a JSON file, and the same value passed as a mapping where it is one
-    for source in [path] + ([config] if isinstance(config, dict) else []):
-        with pytest.raises(ValueError, match=message):
-            species_params("kaon", config=source)

@@ -416,6 +416,13 @@ def test_weight_values_and_total_efficiency():
     vals = td.values(1 / G, 2 / G)
     assert_allclose(vals[0], np.exp(-1.0), rtol=1e-15)
     assert td.is_constant is False and w.is_constant is True
+    # at array times, the per-point mean in the grid's shape; a float at two scalar times
+    t_a = np.array([[1.0], [2.0]]) / G
+    t_b = np.array([2.0, 3.0, 4.0]) / G
+    assert type(w.total_efficiency()) is float and type(td.total_efficiency(1 / G, 2 / G)) is float
+    assert np.array_equal(w.total_efficiency(t_a, t_b), np.full((2, 3), w.total_efficiency()))
+    assert_allclose(td.total_efficiency(t_a, t_b),
+                    np.broadcast_to((np.exp(-G * t_a) + 1.5) / 4, (2, 3)), rtol=1e-15)
 
 
 def test_lrm_like_joint_weighted_sum():

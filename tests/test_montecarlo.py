@@ -11,13 +11,7 @@ from scipy import stats
 from mesonbell.constants import BMESON, KAON
 from mesonbell.fitting import default_grid
 from mesonbell.lrm import EfficiencyWeights, RhoProfile, WeightRangeError, joint_probabilities, lrm_like_joint
-from mesonbell.montecarlo import (
-    SimConfig,
-    _bias_report,
-    acceptance_bias_report,
-    first_events,
-    simulate,
-)
+from mesonbell.montecarlo import SimConfig, first_events, simulate
 from mesonbell.quantum import TimePair
 
 G = KAON.gamma_s
@@ -70,29 +64,19 @@ def test_estimator_is_unbiased_over_many_seeds():
     assert abs(estimates.mean() - analytic) < 5.0 * sem
 
 
-def test_bias_report_of_one_result_equals_the_public_report():
-    for config in (make_config(weights=(1.0, 0.13, 0.03, 0.04), n_events=50_000),
-                   make_config(n_events=1)):
-        helper = _bias_report(simulate(config))
-        public = acceptance_bias_report(config)
-        assert np.array_equal(helper.rates, public.rates, equal_nan=True)
-        assert np.array_equal(helper.pair_counts, public.pair_counts)
-        assert np.array_equal(helper.accepted_counts, public.accepted_counts)
-
-
 def test_acceptance_rates_track_the_weights():
     config = make_config(weights=(1.0, 0.13, 0.03, 0.04), n_events=400_000)
-    report = acceptance_bias_report(config)
-    assert_allclose(report.rates, [1.0, 0.13, 0.03, 0.04], atol=0.01)
+    result = simulate(config)
+    r = result.acceptance_rates
+    assert_allclose(r, [1.0, 0.13, 0.03, 0.04], atol=0.01)
     # ordering 1 > 2 > 4 > 3 survives the statistics
-    r = report.rates
     assert r[0] > r[1] > r[3] > r[2]
-    assert report.pair_counts.sum() == config.n_events
+    assert result.pair_counts.sum() == config.n_events
 
 
 def test_equal_weights_give_equal_rates():
-    report = acceptance_bias_report(make_config(weights=(0.5, 0.5, 0.5, 0.5), n_events=200_000))
-    assert np.all(np.abs(report.rates - 0.5) < 0.01)
+    result = simulate(make_config(weights=(0.5, 0.5, 0.5, 0.5), n_events=200_000))
+    assert np.all(np.abs(result.acceptance_rates - 0.5) < 0.01)
 
 
 def test_single_event_is_degenerate_but_fine():
@@ -100,8 +84,9 @@ def test_single_event_is_degenerate_but_fine():
     assert result.n_events == 1
     assert result.pair_counts.sum() == 1
     assert result.estimate in (0.0, 1.0)
-    report = acceptance_bias_report(make_config(n_events=1))
-    assert np.isnan(report.rates).sum() == 3
+    rates = result.acceptance_rates
+    assert np.isnan(rates).sum() == 3
+    assert rates[result.pair_counts > 0] == result.accepted_counts.sum()
 
 
 def test_n_events_validation():
@@ -187,8 +172,7 @@ def test_tiny_negative_joints_are_outside_the_validity_domain():
 def test_time_dependent_weights_are_evaluated_at_the_config_times():
     weights = EfficiencyWeights(lambda ta, tb: np.exp(-G * ta), 1.0, 1.0, 1.0)
     config = SimConfig(KAON, ZERO, weights, TimePair(1 / G, 2 / G), 200_000, 5)
-    report = acceptance_bias_report(config)
-    assert abs(report.rates[0] - np.exp(-1.0)) < 0.01
+    assert abs(simulate(config).acceptance_rates[0] - np.exp(-1.0)) < 0.01
 
 
 def test_time_dependent_weights_are_checked_at_the_config_times():

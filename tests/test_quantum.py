@@ -262,9 +262,10 @@ def test_integrated_ratio_strong_mixing():
     assert_allclose(integrated_ratio(params, *WRAPPED), x * x / (2 + x * x), rtol=1e-6)
 
 
-def test_integrated_ratio_nonconvergence_raises():
-    with pytest.raises(QuadratureError):
-        integrated_ratio(KAON, *WRAPPED, _limit=1)
+def test_integrated_ratio_nonconvergence_raises(monkeypatch):
+    monkeypatch.setattr(quantum, "_MAX_SUBDIVISIONS", 1)
+    with pytest.raises(QuadratureError, match="within 1 subdivisions"):
+        integrated_ratio(KAON, *WRAPPED)
 
 
 def test_integrated_ratio_accepts_scalar_providers():
