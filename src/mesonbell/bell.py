@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 __all__ = [
     "CorrelationSet",
@@ -72,10 +72,7 @@ class CorrelationSet:
         if not 0.0 <= lam <= 1.0:
             raise ValueError("mixing parameter must lie in [0, 1]")
         return CorrelationSet(*(lam * a + (1.0 - lam) * b
-                                for a, b in zip(self._astuple(), other._astuple())))
-
-    def _astuple(self):
-        return (self.p11, self.p12, self.p21, self.p22, self.s1, self.s2)
+                                for a, b in zip(astuple(self), astuple(other))))
 
 
 def chs_sum(c: CorrelationSet) -> float:

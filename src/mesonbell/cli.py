@@ -30,8 +30,8 @@ import numpy as np
 
 from . import __version__
 from .bell import EXPECTED_B_TAGGING_EFFICIENCY, NO_BACKGROUND_CAVEAT, threshold_check
-from .constants import semileptonic_total, species_params
-from .fitting import FitProblem, _objective_value, evaluate_gap, fit_constant_weights
+from .constants import SPECIES, semileptonic_total, species_params
+from .fitting import OBJECTIVES, FitProblem, _objective_value, default_grid, evaluate_gap, fit_constant_weights
 from .lrm import EfficiencyWeights, RhoProfile, lrm_like_joint
 from .montecarlo import SimConfig, simulate
 from .quantum import TimePair
@@ -48,7 +48,8 @@ PRESETS: dict[str, dict] = {
     "fig4": {"species": "bmeson", "rho": "zero", "weights": (0.52, 0.08, 0.52, 0.08)},
 }
 
-_RHO_KINDS = ("zero", "saturate_upper_short", "saturate_lower_short")
+# the kinds a --rho flag names; 'tabulated' needs knots, so only a config object gives it
+_RHO_KINDS = tuple(kind for kind in RhoProfile._KINDS if kind != "tabulated")
 
 
 class _Setting:
@@ -62,7 +63,7 @@ class _Setting:
 
 
 _SETTINGS = {
-    "species": _Setting("meson species", (str,), choices=("kaon", "bmeson")),
+    "species": _Setting("meson species", (str,), choices=tuple(SPECIES)),
     "rho": _Setting("rho profile: " + ", ".join(_RHO_KINDS), (str, dict), default=_RHO_KINDS[0]),
     "preset": _Setting("named weight preset: " + ", ".join(sorted(PRESETS)), (str,)),
     "weights": _Setting("acceptance weights 'a1,a2,a3,a4'", (str, list), default="1,1,1,1"),
@@ -74,10 +75,10 @@ _SETTINGS = {
     "n_events": _Setting("Monte-Carlo sample size", (int,), ("mc",), default=1_000_000, type=int),
     "out": _Setting("output path for CSV ('-' for stdout)", (str,), ("curve", "fit")),
     "time_unit": _Setting("time axis unit for reports", (str,), choices=("gamma_s", "seconds")),
-    "objective": _Setting("fit objective", (), ("fit",), choices=("match_qm", "underbound_qm")),
+    "objective": _Setting("fit objective", (), ("fit",), choices=OBJECTIVES),
 }
 
-_FMT = "{:.11e}"  # 12 significant digits
+_FMT = "%.11e"  # 12 significant digits
 
 
 class CliError(Exception):
@@ -123,23 +124,13 @@ def _parse_tb_rule(text: str) -> tuple[float, float]:
 
 
 def _build_rho(spec) -> RhoProfile:
-    if isinstance(spec, dict):
-        unknown = set(spec) - {"kind", "knots"}
-        if unknown:
-            raise CliError(f"unknown rho config keys: {sorted(unknown)}")
-        kind = spec.get("kind")
-        if "knots" in spec and kind != "tabulated":
-            raise CliError(f"rho knots are only meaningful for kind 'tabulated', not {kind!r}")
-        if kind == "tabulated":
-            try:
-                return RhoProfile.tabulated(spec["knots"])
-            except (KeyError, TypeError) as exc:
-                raise CliError(f"tabulated rho needs 'knots': [[t, rho], ...]; {exc!r}") from None
-        spec = kind
-    if spec in _RHO_KINDS:
+    """A kind name or a config object {"kind": ..., "knots": [[t, rho], ...]}, checked by RhoProfile."""
+    if not isinstance(spec, dict):
         return RhoProfile(spec)
-    raise CliError(f"unknown rho profile {spec!r}; expected one of {_RHO_KINDS} "
-                   "or a config object {'kind': 'tabulated', 'knots': [[t, rho], ...]}")
+    unknown = set(spec) - {"kind", "knots"}
+    if unknown:
+        raise CliError(f"unknown rho config keys: {sorted(unknown)}")
+    return RhoProfile(spec.get("kind"), spec.get("knots"))
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
@@ -196,8 +187,8 @@ def _scenario(args: argparse.Namespace) -> dict:
         raise CliError("curve grids need at least 2 points")
     slope, offset = _parse_tb_rule(str(scenario["tb_rule"]))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite times are rejected below
-        t_a = np.linspace(lo, hi, n) / params.gamma_s
-        t_b = slope * t_a + offset / params.gamma_s
+        t_a, t_b = default_grid(params, n, lo, hi, slope)
+        t_b = t_b + offset / params.gamma_s
     if np.any(t_b < 0.0):
         raise CliError("tb rule produced negative times")
 
@@ -218,8 +209,8 @@ def _write_csv(table, scenario) -> None:
     with np.errstate(over="ignore"):  # a time too large for the unit prints as inf
         t_a = table.t_a * _time_scale(scenario)
     cols = np.column_stack([t_a, table.qm, table.lrm, table.p, table.gap])
-    # one %-format over the whole table; "%.11e" prints the same bytes as _FMT
-    row = ",".join(["%.11e"] * cols.shape[1])
+    # one %-format over the whole table
+    row = ",".join([_FMT] * cols.shape[1])
     text = "\n".join([",".join(table.columns)] + [row] * len(cols)) % tuple(cols.ravel().tolist()) + "\n"
     out = scenario["out"]
     if out in (None, "-"):
@@ -251,11 +242,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
     base_gap = _objective_value(baseline.gap, objective)
     print(f"objective       = {objective}")
     print(f"species         = {scenario['params'].species}")
-    print(f"target_eta      = {_FMT.format(scenario['eta'])}")
-    print(f"achieved_eta    = {_FMT.format(result.achieved_eta)}")
-    print("fitted_weights  = " + ",".join(_FMT.format(w) for w in fitted))
-    print(f"max_gap         = {_FMT.format(result.max_abs_gap)}")
-    print(f"input_gap       = {_FMT.format(base_gap)}  (gap of the --weights/preset values)")
+    print(f"target_eta      = {_FMT % scenario['eta']}")
+    print(f"achieved_eta    = {_FMT % result.achieved_eta}")
+    print("fitted_weights  = " + ",".join(_FMT % w for w in fitted))
+    print(f"max_gap         = {_FMT % result.max_abs_gap}")
+    print(f"input_gap       = {_FMT % base_gap}  (gap of the --weights/preset values)")
     print(f"iterations      = {result.iterations}")
     if scenario["out"]:
         table = evaluate_gap(scenario["params"], scenario["rho"], result.weights,
@@ -295,16 +286,16 @@ def cmd_mc(args: argparse.Namespace) -> int:
     analytic = lrm_like_joint(scenario["params"], scenario["rho"], scenario["weights"], t_a, t_b)
     scale = _time_scale(scenario)
     print(f"species         = {scenario['params'].species}")
-    print(f"t_a, t_b        = {_FMT.format(t_a * scale)}, {_FMT.format(t_b * scale)} ({scenario['time_unit']})")
+    print(f"t_a, t_b        = {_FMT % (t_a * scale)}, {_FMT % (t_b * scale)} ({scenario['time_unit']})")
     print(f"n_events        = {result.n_events}")
     print(f"seed            = {config.seed}")
-    print(f"estimate        = {_FMT.format(result.estimate)}")
-    print(f"stderr          = {_FMT.format(result.stderr)}")
-    print(f"analytic_lrm    = {_FMT.format(analytic)}")
+    print(f"estimate        = {_FMT % result.estimate}")
+    print(f"stderr          = {_FMT % result.stderr}")
+    print(f"analytic_lrm    = {_FMT % analytic}")
     if result.stderr > 0.0:
         print(f"pull            = {(result.estimate - analytic) / result.stderr:+.3f} sigma")
     for i, rate in enumerate(result.acceptance_rates):
-        rate_text = _FMT.format(rate) if np.isfinite(rate) else "n/a"
+        rate_text = _FMT % rate if np.isfinite(rate) else "n/a"
         print(f"acceptance[{i + 1}]   = {rate_text}  ({result.accepted_counts[i]}/{result.pair_counts[i]})")
     return 0
 

@@ -133,7 +133,7 @@ def semileptonic_total(parent: str) -> float:
 
     Raises ValueError if no tagging channel is registered for the parent.
     """
-    ratios = [r.ratio for r in BRANCHING if r.parent == parent and r.tagging]
+    ratios = [r.ratio for r in branching_records(parent) if r.tagging]
     if not ratios:
         known = ", ".join(sorted({r.parent for r in BRANCHING}))
         raise ValueError(f"no tagging channels registered for {parent!r}; known parents: {known}")

@@ -120,6 +120,10 @@ def _tables(params, rho, t_a, t_b):
 class FitResult:
     """Fitted constant weights, their mean, their objective on the grid and the LP effort.
 
+    ``max_abs_gap`` holds the objective's value on the grid: max |LRM - QM|
+    for ``match_qm``, and the largest positive excess max(0, LRM - QM) for
+    ``underbound_qm``.
+
     ``iterations`` counts HiGHS simplex iterations from the slack basis
     (presolve is off), so it is 0 only where that basis is already optimal.
     """

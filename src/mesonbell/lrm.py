@@ -197,8 +197,7 @@ def rho_bounds(params: OscillationParams, t):
 
 
 def _interp_knots(knots: tuple[tuple[float, float], ...], t):
-    ts = np.array([k[0] for k in knots])
-    vs = np.array([k[1] for k in knots])
+    ts, vs = np.array(knots).T
     return np.interp(np.asarray(t, dtype=float), ts, vs)
 
 
@@ -227,17 +226,23 @@ class RhoProfile:
 
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
-            raise ValueError(f"unknown rho profile kind {self.kind!r}")
-        if self.kind == "tabulated":
-            if not self.knots or len(self.knots) < 2:
-                raise ValueError("tabulated profile needs at least two (t, rho) knots")
-            ts = [k[0] for k in self.knots]
-            if any(not math.isfinite(t) or t < 0.0 for t in ts):
-                raise ValueError("knot times must be finite and non-negative")
-            if sorted(ts) != ts or len(set(ts)) != len(ts):
-                raise ValueError("knot times must be strictly increasing")
-        elif self.knots is not None:
-            raise ValueError(f"knots are only meaningful for 'tabulated', not {self.kind!r}")
+            raise ValueError(f"unknown rho profile kind {self.kind!r}; expected one of {self._KINDS}")
+        if self.kind != "tabulated":
+            if self.knots is not None:
+                raise ValueError(f"knots are only meaningful for 'tabulated', not {self.kind!r}")
+            return
+        try:
+            knots = tuple((float(t), float(v)) for t, v in (() if self.knots is None else self.knots))
+        except (TypeError, ValueError):
+            raise ValueError("tabulated profile knots must be (t, rho) pairs of numbers") from None
+        if len(knots) < 2:
+            raise ValueError("tabulated profile needs at least two (t, rho) knots")
+        ts = [k[0] for k in knots]
+        if any(not math.isfinite(t) or t < 0.0 for t in ts):
+            raise ValueError("knot times must be finite and non-negative")
+        if sorted(ts) != ts or len(set(ts)) != len(ts):
+            raise ValueError("knot times must be strictly increasing")
+        object.__setattr__(self, "knots", knots)
 
     @classmethod
     def zero(cls) -> "RhoProfile":
@@ -253,7 +258,7 @@ class RhoProfile:
 
     @classmethod
     def tabulated(cls, knots) -> "RhoProfile":
-        return cls("tabulated", tuple((float(t), float(v)) for t, v in knots))
+        return cls("tabulated", knots)
 
     def value(self, params: OscillationParams, t):
         """rho(t), checked against both bound pairs at every evaluated time."""

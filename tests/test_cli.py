@@ -16,9 +16,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mesonbell import cli
-from mesonbell.cli import _FMT, _SETTINGS, PRESETS, _scenario, _write_csv, build_parser, main
-from mesonbell.constants import KAON
-from mesonbell.fitting import CurveTable
+from mesonbell.cli import _SETTINGS, PRESETS, _scenario, _write_csv, build_parser, main
+from mesonbell.constants import KAON, SPECIES
+from mesonbell.fitting import OBJECTIVES, CurveTable
+from mesonbell.lrm import RhoProfile
 
 
 def run(capsys, *argv):
@@ -194,6 +195,10 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     ("curve", {"weights": [10**400, 0, 0, 0]}), ("fit", {"eta": 10**400}),
     ("curve", {"rho": {"kind": "zero", "knots": [[0, 1e-12], [1, 2e-12]]}}),
     ("curve", {"rho": {"kind": "zero", "typo": 3}}),
+    ("curve", {"rho": "tabulated"}), ("curve", {"rho": {"knots": [[0, 0], [1, 0]]}}),
+    ("curve", {"rho": {"knots": 5, "kind": "tabulated"}}),
+    ("curve", {"rho": {"knots": [[1], [2]], "kind": "tabulated"}}),
+    ("curve", {"rho": {"knots": [[None, 0], [1, 0]], "kind": "tabulated"}}),
 ], ids=lambda v: v if v in ("curve", "mc", "fit") else json.dumps(v)[:32])
 def test_bad_config_values_are_single_line_errors(tmp_path, capsys, command, config):
     path = tmp_path / "bad.json"
@@ -401,7 +406,7 @@ def test_csv_writer_matches_per_value_formatting(tmp_path):
         scale = 1.0 if unit == "seconds" else KAON.gamma_s
         for k in range(n):
             row = (float(table.t_a[k]) * scale, table.qm[k], table.lrm[k], *table.p[k], table.gap[k])
-            lines.append(",".join(_FMT.format(float(v)) for v in row))
+            lines.append(",".join(f"{float(v):.11e}" for v in row))
         assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
@@ -450,9 +455,31 @@ def test_version(capsys):
     assert exc.value.code == 0
 
 
-def _flags(command):
+def _subparser(command):
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {opt for action in sub.choices[command]._actions for opt in action.option_strings} - {"-h", "--help"}
+    return sub.choices[command]
+
+
+def _flags(command):
+    return {opt for action in _subparser(command)._actions for opt in action.option_strings} - {"-h", "--help"}
+
+
+def test_choices_are_the_library_declarations():
+    choices = {opt: action.choices for action in _subparser("fit")._actions for opt in action.option_strings}
+    assert choices["--species"] == tuple(SPECIES)
+    assert choices["--objective"] is OBJECTIVES
+
+
+@pytest.mark.parametrize("argv, config", [(["--rho", "flat"], None), ([], {"rho": {"kind": "flat"}})])
+def test_unknown_rho_kind_is_one_line_naming_the_kinds(tmp_path, capsys, argv, config):
+    if config is not None:
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(config))
+        argv = ["--config", str(path)]
+    code, out, err = run(capsys, "curve", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert all(kind in err for kind in RhoProfile._KINDS if kind != "tabulated"), err
 
 
 def test_each_command_registers_only_the_flags_it_reads():

@@ -199,14 +199,20 @@ def test_tabulated_overflow_guard_rejects_instead_of_overflowing():
 
 
 def test_profile_construction_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(str(RhoProfile._KINDS))):
         RhoProfile("squiggly")
     with pytest.raises(ValueError):
         RhoProfile.tabulated([(0.0, 0.0)])
+    for knots in (None, 5, [[1], [2]], [[None, 0], [1, 0]], [["t", 0], [1, 0]]):
+        with pytest.raises(ValueError):
+            RhoProfile("tabulated", knots)
     with pytest.raises(ValueError):
         RhoProfile.tabulated([(1.0, 0.0), (0.5, 0.0)])
     with pytest.raises(ValueError):
         RhoProfile("zero", knots=((0.0, 0.0), (1.0, 0.0)))
+    # knots from any sequence of pairs are stored as float pairs, whichever constructor is used
+    assert RhoProfile("tabulated", [[0, 0], [1e-9, 1]]) == RhoProfile.tabulated(((0.0, 0.0), (1e-9, 1.0)))
+    assert RhoProfile("tabulated", np.array([[0, 0], [1e-9, 1]])).knots == ((0.0, 0.0), (1e-9, 1.0))
 
 
 def test_initial_flip_probabilities():
