@@ -44,11 +44,10 @@ for phase in (0.0, 0.5 * np.pi, np.pi):
     print(f"  phase {phase:5.3f}  A = {mb.asymmetry(bmeson, t_a, t_b):+.4f}")
 
 # time-integrated like/unlike ratio; for equal widths R = x^2 / (2 + x^2).
-# Wrapping the joints makes them user-supplied providers, which
-# integrated_ratio integrates by adaptive cubature instead of the closed form.
-like = lambda p, t_a, t_b: mb.qm_like_joint(p, t_a, t_b)
-unlike = lambda p, t_a, t_b: mb.qm_unlike_joint(p, t_a, t_b)
+# With no providers passed integrated_ratio returns the closed form; the
+# joints passed as providers are integrated by adaptive cubature.
+joints = (mb.qm_like_joint, mb.qm_unlike_joint)
 print("\nintegrated like/unlike ratio:")
 print(f"  {'':<8} {'closed form':>14} {'cubature':>14}")
 for p in (kaon, bmeson):
-    print(f"  {p.species:<8} {mb.integrated_ratio(p):14.10f} {mb.integrated_ratio(p, like, unlike):14.10f}")
+    print(f"  {p.species:<8} {mb.integrated_ratio(p):14.10f} {mb.integrated_ratio(p, *joints):14.10f}")

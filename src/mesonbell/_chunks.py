@@ -51,10 +51,15 @@ def _in_range(values: np.ndarray, lo: float, hi: float) -> bool:
     return values.size == 0 or bool(values.min() >= lo and values.max() <= hi)
 
 
-def _check_times(*times) -> None:
+def _check_times(*times, t_max: float = sys.float_info.max) -> None:
+    """Every time finite, non-negative and at most t_max (the species' ``_max_time``)."""
     for t in times:
-        # x < inf is x <= the largest float
-        if not _in_range(np.asarray(t, dtype=float), 0.0, sys.float_info.max):
+        t = np.asarray(t, dtype=float)
+        if not _in_range(t, 0.0, t_max):
+            # x < inf is x <= the largest float
+            if _in_range(t, 0.0, sys.float_info.max):
+                raise ValueError(f"proper times must lie in [0, {t_max:.6g}] s, "
+                                 "beyond which a decay rate or delta_m times t overflows")
             raise ValueError("proper times must be finite and non-negative")
 
 
@@ -110,11 +115,12 @@ def _run_shares(n_items: int, workers: int, work: Callable[[int], None]) -> None
         raise min(errors, key=lambda error: error[0])[1]
 
 
-def _on_chunks(kernel: Callable, t_a, t_b, *widths: tuple[int, ...], rows_at: Callable | None = None):
+def _on_chunks(kernel: Callable, t_a, t_b, *widths: tuple[int, ...], rows_at: Callable | None = None,
+               t_max: float = sys.float_info.max):
     """Evaluate kernel over the time grid (t_a, t_b) in chunks of _CHUNK points.
 
-    The times are checked, broadcast to one grid and flattened (times of one
-    shape are viewed flat as they are, strided or not).  ``rows_at(t_a, t_b)``,
+    The times are checked against t_max, broadcast to one grid and flattened
+    (times of one shape are viewed flat as they are, strided or not).  ``rows_at(t_a, t_b)``,
     if given, returns rows of k values on the last axis: one (k,) row is
     handed whole to every chunk, and per-point rows are broadcast over the
     grid and cut with it.  ``kernel(t_a, t_b, [rows,] *outputs)`` fills each
@@ -124,7 +130,7 @@ def _on_chunks(kernel: Callable, t_a, t_b, *widths: tuple[int, ...], rows_at: Ca
     """
     t_a = np.asarray(t_a, dtype=float)
     t_b = np.asarray(t_b, dtype=float)
-    _check_times(t_a, t_b)
+    _check_times(t_a, t_b, t_max=t_max)
     if t_a.shape == t_b.shape:
         grid, inputs = t_a.shape, [t_a, t_b] if t_a.ndim == 1 else [t_a.reshape(-1), t_b.reshape(-1)]
     else:

@@ -50,6 +50,8 @@ PRESETS: dict[str, dict] = {
 
 # the kinds a --rho flag names; 'tabulated' needs knots, so only a config object gives it
 _RHO_KINDS = tuple(kind for kind in RhoProfile._KINDS if kind != "tabulated")
+_TABULATED = ("'tabulated' takes its knots only from a --config object "
+              '{"rho": {"kind": "tabulated", "knots": [[t, rho], ...]}}')
 
 
 class _Setting:
@@ -64,7 +66,8 @@ class _Setting:
 
 _SETTINGS = {
     "species": _Setting("meson species", (str,), choices=tuple(SPECIES)),
-    "rho": _Setting("rho profile: " + ", ".join(_RHO_KINDS), (str, dict), default=_RHO_KINDS[0]),
+    "rho": _Setting("rho profile: " + ", ".join(_RHO_KINDS) + "; " + _TABULATED, (str, dict),
+                    default=_RHO_KINDS[0]),
     "preset": _Setting("named weight preset: " + ", ".join(sorted(PRESETS)), (str,)),
     "weights": _Setting("acceptance weights 'a1,a2,a3,a4'", (str, list), default="1,1,1,1"),
     "eta": _Setting("target total efficiency in (0, 1], required", (int, float), ("fit",), type=float),
@@ -125,6 +128,8 @@ def _parse_tb_rule(text: str) -> tuple[float, float]:
 
 def _build_rho(spec) -> RhoProfile:
     """A kind name or a config object {"kind": ..., "knots": [[t, rho], ...]}, checked by RhoProfile."""
+    if spec == "tabulated":
+        raise CliError(f"rho {_TABULATED}; --rho takes " + ", ".join(_RHO_KINDS))
     if not isinstance(spec, dict):
         return RhoProfile(spec)
     unknown = set(spec) - {"kind", "knots"}

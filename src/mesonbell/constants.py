@@ -9,6 +9,7 @@ central values only.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -23,6 +24,23 @@ __all__ = [
     "branching_records",
     "semileptonic_total",
 ]
+
+
+def _max_time(rate: float) -> float:
+    """The largest time t with rate * (t + t) finite.
+
+    Every product of a time with gamma_s, gamma_l or delta_m, or of a sum of
+    two times with their mean, lies below rate * (t + t) for rate the
+    largest of the three, so up to this t no rate product overflows, and
+    the phases delta_m t keep a value.
+    """
+    half = 0.5 * sys.float_info.max
+    t = min(half / rate, half)      # rounded: step to the last t that passes
+    while not math.isfinite(rate * (t + t)):
+        t = math.nextafter(t, 0.0)
+    while (up := math.nextafter(t, math.inf)) <= half and math.isfinite(rate * (up + up)):
+        t = up
+    return t
 
 
 @dataclass(frozen=True)
@@ -48,6 +66,7 @@ class OscillationParams:
             raise ValueError("gamma_s must be >= gamma_l")
         if self.delta_m < 0.0:
             raise ValueError("delta_m must be non-negative")
+        object.__setattr__(self, "_max_time", _max_time(max(self.gamma_s, self.delta_m)))
 
     @property
     def equal_widths(self) -> bool:

@@ -112,7 +112,8 @@ def _table_chunk(params, rho, t_a, t_b, p, qm):
 
 def _tables(params, rho, t_a, t_b):
     """(P, qm) on the grid (t_a, t_b), at least 1-D."""
-    _, _, p, qm = _on_chunks(partial(_table_chunk, params, rho), np.atleast_1d(t_a), t_b, (4,), ())
+    _, _, p, qm = _on_chunks(partial(_table_chunk, params, rho), np.atleast_1d(t_a), t_b, (4,), (),
+                             t_max=params._max_time)
     return p, qm
 
 
@@ -322,5 +323,5 @@ def evaluate_gap(params: OscillationParams, rho: RhoProfile, weights: Efficiency
 
     # a 1-D t_a keeps the table at least 1-D
     t_a, t_b, p, qm, lrm, gap = _on_chunks(kernel, np.atleast_1d(grid_t_a), grid_t_b, (4,), (), (), (),
-                                           rows_at=partial(_weight_rows, weights))
+                                           rows_at=partial(_weight_rows, weights), t_max=params._max_time)
     return CurveTable(t_a=t_a, t_b=t_b, qm=qm, lrm=lrm, p=p, gap=gap)

@@ -150,7 +150,7 @@ INITIAL_PAIRS = ((K1, K4), (K2, K3), (K3, K2), (K4, K1))
 
 def survival(params: OscillationParams, which: str, t):
     """Survival probability e^{-gamma t} of the short- or long-lived branch."""
-    _check_times(t)
+    _check_times(t, t_max=params._max_time)
     if which == "short":
         return np.exp(-params.gamma_s * np.asarray(t, dtype=float))
     if which == "long":
@@ -161,22 +161,26 @@ def survival(params: OscillationParams, which: str, t):
 def _q(params: OscillationParams, t, sign: float):
     # 2 sqrt(E_L E_S) / (E_L + E_S) = sech((gamma_s - gamma_l) t / 2), written
     # with e^{-x} only so it stays finite where E_L and E_S both underflow; at
-    # equal widths it is exactly 2 / (1 + 1) = 1
+    # equal widths it is exactly 2 / (1 + 1) = 1; in place for (2, m) rows (sign = +-1 is exact)
     t = np.asarray(t, dtype=float)
     decay = np.exp(-0.5 * abs(params.gamma_s - params.gamma_l) * t)
-    prefactor = 2.0 * decay / (1.0 + decay * decay)
-    return 0.5 * (1.0 + sign * prefactor * np.cos(params.delta_m * t))
+    q = 2.0 * decay
+    q /= 1.0 + decay * decay
+    q *= sign * np.cos(params.delta_m * t)
+    q += 1.0
+    q *= 0.5
+    return q
 
 
 def q_plus(params: OscillationParams, t):
     """Oscillation weight Q+(t) in [0, 1]; Q+(0) = 1."""
-    _check_times(t)
+    _check_times(t, t_max=params._max_time)
     return _q(params, t, +1.0)
 
 
 def q_minus(params: OscillationParams, t):
     """Oscillation weight Q-(t) = 1 - Q+(t); Q-(0) = 0."""
-    _check_times(t)
+    _check_times(t, t_max=params._max_time)
     return _q(params, t, -1.0)
 
 
@@ -186,7 +190,7 @@ def rho_bounds(params: OscillationParams, t):
     lower = max(-E_S Q+, -E_L Q-), upper = min(E_S Q-, E_L Q+); the range
     always contains 0 and degenerates to (0, 0) at t = 0.
     """
-    _check_times(t)
+    _check_times(t, t_max=params._max_time)
     e_s = survival(params, "short", t)
     e_l = survival(params, "long", t)
     qp = _q(params, t, +1.0)
@@ -262,7 +266,7 @@ class RhoProfile:
 
     def value(self, params: OscillationParams, t):
         """rho(t), checked against both bound pairs at every evaluated time."""
-        _check_times(t)
+        _check_times(t, t_max=params._max_time)
         t = np.asarray(t, dtype=float)
         if self.kind == "zero":
             rho = np.zeros_like(t)
@@ -272,7 +276,7 @@ class RhoProfile:
             rho = -survival(params, "short", t) * _q(params, t, +1.0)
         else:
             rho = _interp_knots(self.knots, t)
-        self._check_fractions(params, t)
+        self._check_fractions(params, t[np.newaxis])
         return rho if rho.ndim else float(rho)
 
     # -- flip fractions ----------------------------------------------------
@@ -296,35 +300,33 @@ class RhoProfile:
             w4 = qm - qp * np.exp(-(params.gamma_s - params.gamma_l) * t)
             return w2, w4
         rho = _interp_knots(self.knots, t)
+        # rho = 0 scales to 0 also where e^{gamma t} overflows (0 * inf is nan)
+        nonzero = rho != 0.0
         with np.errstate(over="ignore"):
-            scaled_s = rho * np.exp(params.gamma_s * t)
-            scaled_l = rho * np.exp(params.gamma_l * t)
+            scaled_s = np.multiply(rho, np.exp(params.gamma_s * t), out=np.zeros_like(rho), where=nonzero)
+            scaled_l = np.multiply(rho, np.exp(params.gamma_l * t), out=np.zeros_like(rho), where=nonzero)
         return qm - scaled_s, qm + scaled_l
 
-    def _check_fractions(self, params: OscillationParams, *times):
-        """Flip fractions (w2, w4) at each of the times, checked together.
+    def _check_fractions(self, params: OscillationParams, t: np.ndarray):
+        """Flip fractions (w2, w4) at the times t of shape (k, ...), in one pass.
 
-        An inadmissible value raises at the first offending index in array
-        order, and at that index at the first offending time in argument order.
+        An inadmissible value raises at the first offending index of t[0] in
+        array order, and at that index at the first offending of the k times.
         """
-        fractions = [self._fractions(params, t) for t in times]
+        w2, w4 = self._fractions(params, t)
         lo, hi = -_ADMISSIBLE_TOL, 1.0 + _ADMISSIBLE_TOL
-        # each distinct array once: for rho = zero w2 is w4
-        distinct = {id(w): w for pair in fractions for w in pair}.values()
-        if not all(_in_range(w, lo, hi) for w in distinct):
-            bad = np.stack(np.broadcast_arrays(*(~((w2 >= lo) & (w2 <= hi) & (w4 >= lo) & (w4 <= hi))
-                                                 for w2, w4 in fractions)), axis=-1)
-            t_all = np.stack(np.broadcast_arrays(*(np.asarray(t, dtype=float) for t in times)), axis=-1)
-            t_bad = float(t_all[bad][0])
+        if not (_in_range(w2, lo, hi) and (w4 is w2 or _in_range(w4, lo, hi))):    # rho = zero: w2 is w4
+            bad = ~((w2 >= lo) & (w2 <= hi) & (w4 >= lo) & (w4 <= hi))
+            t_bad = float(np.moveaxis(t, 0, -1)[np.moveaxis(bad, 0, -1)][0])
             lo, up = rho_bounds(params, t_bad)
             raise InadmissibleRhoError(
                 t_bad, f"value outside [{float(lo):.6e}, {float(up):.6e}]"
             )
-        return fractions
+        return w2, w4
 
 
-def _require_ordered(t_a, t_b) -> None:
-    _check_times(t_a, t_b)
+def _require_ordered(params: OscillationParams, t_a, t_b) -> None:
+    _check_times(t_a, t_b, t_max=params._max_time)
     if np.any(np.asarray(t_b, dtype=float) < np.asarray(t_a, dtype=float)):
         raise TimeOrderingError("conditional flips require t_a <= t_b")
 
@@ -333,10 +335,10 @@ def _increments(params: OscillationParams, rho: RhoProfile, t_a, t_b, branches=(
     """Flip fractions (w2, w4) at t_a, then the flips within (t_a, t_b] of the branches asked for.
 
     Branch 0 is p21 and branch 1 is p43.  The callers have already checked
-    the times.  An inadmissible rho raises at the first offending pair
-    (t_a, t_b), at t_a before t_b.
+    the times.  One pass over their (2, m) rows gives the fractions at both;
+    an inadmissible rho raises at the first offending pair, t_a before t_b.
     """
-    at_a, at_b = rho._check_fractions(params, t_a, t_b)
+    at_a, at_b = zip(*rho._check_fractions(params, np.stack((t_a, t_b))))
     dt = t_b - t_a
     gammas = (params.gamma_s, params.gamma_l)
     return (*at_a, *(np.exp(-gammas[k] * dt) * (at_b[k] - at_a[k]) for k in branches))
@@ -344,12 +346,12 @@ def _increments(params: OscillationParams, rho: RhoProfile, t_a, t_b, branches=(
 
 def _conditional(params: OscillationParams, rho: RhoProfile, branch: int, t_a, t_b):
     """p21 (branch 0) or p43 (branch 1) within (t_a, t_b], one call of the grid driver."""
-    _require_ordered(t_a, t_b)
+    _require_ordered(params, t_a, t_b)
 
     def kernel(t_a, t_b, out):
         out[:] = _increments(params, rho, t_a, t_b, (branch,))[2]
 
-    return _on_chunks(kernel, t_a, t_b, ())[2]
+    return _on_chunks(kernel, t_a, t_b, (), t_max=params._max_time)[2]
 
 
 def p21_conditional(params: OscillationParams, rho: RhoProfile, t_a, t_b):
@@ -414,7 +416,7 @@ def joint_probabilities(params: OscillationParams, rho: RhoProfile, t_a, t_b):
     def kernel(t_a, t_b, out):
         _store_joints(_joint_columns(params, rho, t_a, t_b), out)
 
-    _, _, p = _on_chunks(kernel, t_a, t_b, (4,))
+    _, _, p = _on_chunks(kernel, t_a, t_b, (4,), t_max=params._max_time)
     return p
 
 
@@ -508,5 +510,6 @@ def lrm_like_joint(params: OscillationParams, rho: RhoProfile, weights: Efficien
     def kernel(t_a, t_b, a, out):
         _weighted_rate(_joint_columns(params, rho, t_a, t_b), a, out)
 
-    _, _, rate = _on_chunks(kernel, t_a, t_b, (), rows_at=partial(_weight_rows, weights))
+    _, _, rate = _on_chunks(kernel, t_a, t_b, (), rows_at=partial(_weight_rows, weights),
+                            t_max=params._max_time)
     return rate

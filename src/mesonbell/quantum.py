@@ -42,8 +42,8 @@ whatever the chunking or thread count.
 CP violation in the weak interactions is neglected throughout.
 
 The time-integrated like/unlike ratio of these joints has a closed form;
-adaptive cubature (scipy, imported on first use) runs only for
-user-supplied joint providers.
+adaptive cubature (scipy, imported on first use) runs only when joint
+providers are passed.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._chunks import _check_times, _on_chunks
+from ._chunks import _on_chunks
 from .constants import OscillationParams
 
 __all__ = [
@@ -135,13 +135,13 @@ def qm_like_joint(params: OscillationParams, t_a, t_b):
     Exactly 0.0 at t_a = t_b: the antisymmetric state is perfectly
     anti-correlated at equal proper times.
     """
-    _, _, like = _on_chunks(partial(_joint, params, np.sin), t_a, t_b, ())
+    _, _, like = _on_chunks(partial(_joint, params, np.sin), t_a, t_b, (), t_max=params._max_time)
     return like
 
 
 def qm_unlike_joint(params: OscillationParams, t_a, t_b):
     """Probability of tagging opposite flavors at (t_a, t_b)."""
-    _, _, unlike = _on_chunks(partial(_joint, params, np.cos), t_a, t_b, ())
+    _, _, unlike = _on_chunks(partial(_joint, params, np.cos), t_a, t_b, (), t_max=params._max_time)
     return unlike
 
 
@@ -151,8 +151,7 @@ def qm_flavor_table(params: OscillationParams, t_a: float, t_b: float) -> dict[F
     The entries sum to (1/2)[E_S(ta) E_L(tb) + E_L(ta) E_S(tb)], the
     probability that both mesons are still undecayed enough to be tagged.
     """
-    _check_times(t_a, t_b)
-    like, unlike = (float(_joint(params, trig, t_a, t_b)) for trig in (np.sin, np.cos))
+    like, unlike = float(qm_like_joint(params, t_a, t_b)), float(qm_unlike_joint(params, t_a, t_b))
     p, a = Flavor.PARTICLE, Flavor.ANTIPARTICLE
     return {
         FlavorOutcome(a, a): like,
@@ -184,19 +183,14 @@ def asymmetry(
     return out if out.ndim else float(out)
 
 
-# The quantum joints as bound at import: the closed-form dispatch below
-# compares against these, so it holds even when a caller rebinds the module
-# names (for instance to wrap them with timers).
-_QM_JOINTS = (qm_like_joint, qm_unlike_joint)
-
 # Subdivisions the cubature of user-supplied providers may make before it gives up.
 _MAX_SUBDIVISIONS = 200
 
 
 def integrated_ratio(
     params: OscillationParams,
-    like_joint: JointProvider = qm_like_joint,
-    unlike_joint: JointProvider = qm_unlike_joint,
+    like_joint: JointProvider | None = None,
+    unlike_joint: JointProvider | None = None,
     rel_tol: float = 1e-8,
 ) -> float:
     """Ratio of time-integrated like- to unlike-flavor joint probabilities.
@@ -214,7 +208,9 @@ def integrated_ratio(
     free of the cancellation in (1/(gamma_s gamma_l) - 1/(G^2 + delta_m^2));
     for equal widths it is x^2 / (2 + x^2) with x = delta_m / gamma.
 
-    Any other providers are integrated by adaptive cubature over the box
+    It is returned when no provider is passed.  Passed providers, the quantum
+    joints included, are integrated by adaptive cubature (the module's joint
+    stands in for one left out) over the box
     [0, 40/gamma_l]^2, which drops a tail of relative weight e^{-40}; the
     box is split at 30/gamma_s on both axes so the short-lived corner gets
     its own regions.  Each provider is called with whole arrays of times,
@@ -223,7 +219,7 @@ def integrated_ratio(
     Raises QuadratureError when the cubature does not converge or its error
     estimate for the ratio exceeds ``rel_tol``.
     """
-    if (like_joint, unlike_joint) == _QM_JOINTS:
+    if like_joint is None and unlike_joint is None:
         # everything in units of gamma_s, so no square over- or underflows
         width_ratio = params.gamma_l / params.gamma_s
         x = params.delta_m / params.gamma_s
@@ -233,6 +229,9 @@ def integrated_ratio(
         return numerator / (numerator + 2.0 * width_ratio)
 
     from scipy import integrate
+
+    like_joint = qm_like_joint if like_joint is None else like_joint
+    unlike_joint = qm_unlike_joint if unlike_joint is None else unlike_joint
 
     def joints(t):
         t_a, t_b = t[:, 0], t[:, 1]

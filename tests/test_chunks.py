@@ -3,10 +3,12 @@
 The thread scheduler's failure handling is driven directly through ``_run_shares``.
 """
 
+import math
 import signal
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -242,6 +244,27 @@ def test_inadmissible_rho_raises_at_the_first_offending_pair(monkeypatch):
             assert threading.active_count() == baseline
 
 
+def test_flip_fractions_run_once_per_chunk(monkeypatch):
+    # both times of a chunk go through RhoProfile._fractions in one pass
+    use_chunks(monkeypatch, 7, 1)
+    fractions, shapes = RhoProfile._fractions, []
+
+    def recording(rho, params, t):
+        shapes.append(t.shape)
+        return fractions(rho, params, t)
+
+    monkeypatch.setattr(RhoProfile, "_fractions", recording)
+    t_a = np.linspace(0.5, 2.5, 30) / G
+    weights = EfficiencyWeights.uniform(0.5)
+    for rho in (RhoProfile.zero(), RhoProfile.saturate_upper_short(), tabulated(KAON)):
+        for call in (lambda: joint_probabilities(KAON, rho, t_a, 2 * t_a),
+                     lambda: lrm_like_joint(KAON, rho, weights, t_a, 2 * t_a),
+                     lambda: evaluate_gap(KAON, rho, weights, t_a, 2 * t_a)):
+            shapes.clear()
+            call()
+            assert shapes == [(2, 7)] * 4 + [(2, 2)]
+
+
 def test_the_later_time_of_an_earlier_pair_is_raised_first(monkeypatch):
     # saturate_upper_short is inadmissible for the B meson where Q- > Q+,
     # i.e. delta_m t in (pi/2, 3 pi/2); pair 5 is bad only at its later time
@@ -461,3 +484,38 @@ def test_outputs_survive_forced_thread_switching(monkeypatch):
     assert started and threading.active_count() == baseline
     assert len(got) == len(expected)
     assert all(same(x, y) for x, y in zip(got, expected))
+
+
+# 0.0 and log-uniform times up to 1.7e308 s, past every species' _max_time
+late_times = st.one_of(st.just(0.0), st.floats(-30.0, math.log10(1.7e308)).map(lambda e: 10.0 ** e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(entry=st.sampled_from(sorted(ENTRY_POINTS)), params=st.sampled_from(sorted(SPECIES)),
+       t_a=late_times, t_b=late_times)
+@example(entry="qm_like_joint", params="kaon", t_a=0.0, t_b=1e299)
+@example(entry="joint_probabilities", params="bmeson", t_a=0.0, t_b=1e299)
+@example(entry="joint_probabilities", params="kaon", t_a=1e-7, t_b=2e-7)     # gamma_s t > 709
+@example(entry="evaluate_gap", params="kaon", t_a=0.0, t_b=KAON._max_time)
+@example(entry="lrm_like_joint", params="bmeson", t_a=BMESON._max_time, t_b=BMESON._max_time)
+def test_late_times_give_finite_values_or_name_the_time_domain(entry, params, t_a, t_b):
+    # delta_m t overflowed to inf there, and cos(inf) is nan; a tabulated
+    # rho of 0 times an overflowed e^{gamma t} was nan too
+    params = SPECIES[params]
+    if entry in ORDERED:
+        t_a, t_b = min(t_a, t_b), max(t_a, t_b)
+    weights = EfficiencyWeights.uniform(0.5)
+    got = []
+    for rho in (RhoProfile.zero(), RhoProfile.tabulated([(0.0, 0.0), (1.0, 0.0)])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got.append([np.asarray(out) for out, _ in ENTRY_POINTS[entry](params, rho, weights, t_a, t_b)])
+            except ValueError as exc:
+                # never InadmissibleRhoError: a rho of 0 is admissible everywhere
+                assert type(exc) is ValueError
+                assert str(exc).startswith(f"proper times must lie in [0, {params._max_time:.6g}] s")
+                got.append(None)
+    assert (got[0] is None) == (got[1] is None) == (max(t_a, t_b) > params._max_time)
+    if got[0] is not None:
+        assert all(np.all(np.isfinite(out)) and same(out, other) for out, other in zip(*got))

@@ -215,11 +215,13 @@ def test_bad_weight_error_shows_the_plain_value(capsys):
 
 
 def test_overflowing_time_rule_is_one_error_line(capsys):
-    # a numpy warning would print its own lines on stderr ahead of the error
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, _, err = run(capsys, "curve", "--grid", "0:1e300:3", "--tb-rule", "1e300*t_a")
-    assert code == 1 and err.startswith("error: ") and len(err.splitlines()) == 1
+    # a numpy warning would print its own lines on stderr ahead of the error;
+    # t_b = 1e308 t_a is finite but past the kaon's time domain
+    for grid, rule in [("0:1e300:3", "1e300*t_a"), ("0.2:5:3", "1e308*t_a")]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "curve", "--grid", grid, "--tb-rule", rule)
+        assert code == 1 and err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("command", [["curve"], ["fit", "--eta", "0.3"]])
@@ -470,7 +472,8 @@ def test_choices_are_the_library_declarations():
     assert choices["--objective"] is OBJECTIVES
 
 
-@pytest.mark.parametrize("argv, config", [(["--rho", "flat"], None), ([], {"rho": {"kind": "flat"}})])
+@pytest.mark.parametrize("argv, config", [(["--rho", "flat"], None), ([], {"rho": {"kind": "flat"}}),
+                                          (["--rho", "tabulated"], None)])
 def test_unknown_rho_kind_is_one_line_naming_the_kinds(tmp_path, capsys, argv, config):
     if config is not None:
         path = tmp_path / "flat.json"
@@ -480,6 +483,11 @@ def test_unknown_rho_kind_is_one_line_naming_the_kinds(tmp_path, capsys, argv, c
     assert code == 1 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert all(kind in err for kind in RhoProfile._KINDS if kind != "tabulated"), err
+    if "tabulated" in argv:
+        # the knots come only from a config object, which the line and the help show
+        shown = '{"rho": {"kind": "tabulated", "knots": [[t, rho], ...]}}'
+        assert shown in err
+        assert shown in " ".join(_subparser("curve").format_help().split())
 
 
 def test_each_command_registers_only_the_flags_it_reads():

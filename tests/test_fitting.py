@@ -287,6 +287,8 @@ fit_draws = given(species=st.sampled_from(["kaon", "bmeson"]),
 @example(species="bmeson", rho="zero", eta=0.5240841533325432, objective="match_qm", n=1328, tb_factor=0.5)
 @example(species="kaon", rho="saturate_upper_short", eta=0.33444069265835596, objective="match_qm",
          n=1947, tb_factor=0.5)
+# the fit reports a gap of 2.168e-19 here, which p @ a / 4 - qm sums to 0.0
+@example(species="bmeson", rho="zero", eta=0.4375, objective="underbound_qm", n=4, tb_factor=2.0)
 def test_fit_is_lp_optimal_by_the_dual_certificate(species, rho, eta, objective, n, tb_factor):
     problem = admissible_problem(species, rho, eta, objective, n, tb_factor)
     result = fit_constant_weights(problem)
@@ -294,7 +296,8 @@ def test_fit_is_lp_optimal_by_the_dual_certificate(species, rho, eta, objective,
     assert abs(a.mean() - eta) <= 1e-12 and abs(result.achieved_eta - eta) <= 1e-12
     assert np.all((a >= 0.0) & (a <= 1.0))
     p, qm = problem.tables()
-    gaps = p @ a / 4.0 - qm
+    # summed in the order FitResult.max_abs_gap documents, that of evaluate_gap
+    gaps = 0.25 * ((p[:, 0] * a[0] + p[:, 3] * a[3]) + (p[:, 1] * a[1] + p[:, 2] * a[2])) + 0.0 - qm
     value = np.max(np.abs(gaps)) if objective == "match_qm" else max(0.0, np.max(gaps))
     assert result.max_abs_gap == pytest.approx(value, rel=1e-12, abs=1e-300)
     assert_certified(problem, result)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -25,10 +25,9 @@ from mesonbell.quantum import (
 
 SPECIES = (KAON, BMESON)
 
-# Wrappers that are not the default providers, so integrated_ratio takes its
-# cubature path on them instead of the closed form.
-WRAPPED = (lambda p, a, b: qm_like_joint(p, a, b),
-           lambda p, a, b: qm_unlike_joint(p, a, b))
+# Passed as providers, the quantum joints take integrated_ratio's cubature
+# path; the closed form is for no provider passed.
+QM_JOINTS = (qm_like_joint, qm_unlike_joint)
 
 
 def amplitude_joint(params, t_a, t_b, same_flavor):
@@ -132,6 +131,21 @@ def test_flavor_table_sums_to_the_joint_survival(params, u_a, u_b):
     # (1/2)[E_S(t_a) E_L(t_b) + E_L(t_a) E_S(t_b)]
     expected = 0.5 * (np.exp(-gs * t_a) * np.exp(-gl * t_b) + np.exp(-gl * t_a) * np.exp(-gs * t_b))
     assert_allclose(sum(qm_flavor_table(params, t_a, t_b).values()), expected, rtol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=st.sampled_from(SPECIES), u_a=st.floats(0.0, 8.0), u_b=st.floats(0.0, 8.0))
+# numpy's scalar arithmetic differs from its array loops in the last bit here
+@example(params=KAON, u_a=2.04, u_b=0.351)
+@example(params=BMESON, u_a=2.5, u_b=6.594)
+def test_flavor_table_entries_are_the_joints(params, u_a, u_b):
+    t_a, t_b = u_a / params.gamma_s, u_b / params.gamma_s
+    table = qm_flavor_table(params, t_a, t_b)
+    p, a = Flavor.PARTICLE, Flavor.ANTIPARTICLE
+    for outcomes, joint in ([(a, a), (p, p)], qm_like_joint), ([(a, p), (p, a)], qm_unlike_joint):
+        for left, right in outcomes:
+            value = table[FlavorOutcome(left, right)]
+            assert type(value) is float and value.hex() == joint(params, t_a, t_b).hex()
 
 
 def test_flavor_table_at_production():
@@ -242,30 +256,34 @@ def laplace_ratio(params):
 def test_integrated_ratio_bmeson_registry():
     x = BMESON.delta_m / BMESON.gamma_s
     expected = x * x / (2.0 + x * x)
-    ratio = integrated_ratio(BMESON, *WRAPPED)
+    ratio = integrated_ratio(BMESON, *QM_JOINTS)
     assert_allclose(ratio, expected, rtol=1e-6)
     assert_allclose(ratio, 0.2107, rtol=5e-4)
 
 
 def test_integrated_ratio_kaon_vs_closed_form():
-    assert_allclose(integrated_ratio(KAON, *WRAPPED), laplace_ratio(KAON), rtol=1e-6)
+    assert_allclose(integrated_ratio(KAON, *QM_JOINTS), laplace_ratio(KAON), rtol=1e-6)
 
 
 def test_integrated_ratio_no_oscillation():
     params = OscillationParams("bmeson", gamma_s=1e12, gamma_l=1e12, delta_m=0.0)
-    assert integrated_ratio(params, *WRAPPED) == pytest.approx(0.0, abs=1e-10)
+    assert integrated_ratio(params, *QM_JOINTS) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_integrated_ratio_strong_mixing():
     params = OscillationParams("bmeson", gamma_s=1e12, gamma_l=1e12, delta_m=1e13)
     x = 10.0
-    assert_allclose(integrated_ratio(params, *WRAPPED), x * x / (2 + x * x), rtol=1e-6)
+    assert_allclose(integrated_ratio(params, *QM_JOINTS), x * x / (2 + x * x), rtol=1e-6)
 
 
 def test_integrated_ratio_nonconvergence_raises(monkeypatch):
+    # any provider passed, the quantum joints included, goes to the cubature;
+    # a provider left out is the module's joint
     monkeypatch.setattr(quantum, "_MAX_SUBDIVISIONS", 1)
-    with pytest.raises(QuadratureError, match="within 1 subdivisions"):
-        integrated_ratio(KAON, *WRAPPED)
+    for providers in ({"like_joint": qm_like_joint, "unlike_joint": qm_unlike_joint},
+                      {"like_joint": qm_like_joint}, {"unlike_joint": qm_unlike_joint}):
+        with pytest.raises(QuadratureError, match="within 1 subdivisions"):
+            integrated_ratio(KAON, **providers)
 
 
 def test_integrated_ratio_accepts_scalar_providers():
@@ -279,7 +297,7 @@ def test_integrated_ratio_accepts_scalar_providers():
 def test_integrated_ratio_generic_path_matches_closed_form(params):
     rel_tol = 1e-8
     closed = integrated_ratio(params)
-    assert_allclose(integrated_ratio(params, *WRAPPED, rel_tol=rel_tol), closed, rtol=rel_tol)
+    assert_allclose(integrated_ratio(params, *QM_JOINTS, rel_tol=rel_tol), closed, rtol=rel_tol)
 
 
 def test_integrated_ratio_closed_form_special_cases(monkeypatch):
@@ -287,8 +305,8 @@ def test_integrated_ratio_closed_form_special_cases(monkeypatch):
     x = BMESON.delta_m / BMESON.gamma_s
     assert integrated_ratio(BMESON) == x * x / (2.0 + x * x)
     # rebinding the module names (say, to time them) keeps the closed form
-    monkeypatch.setattr(quantum, "qm_like_joint", WRAPPED[0])
-    monkeypatch.setattr(quantum, "qm_unlike_joint", WRAPPED[1])
+    monkeypatch.setattr(quantum, "qm_like_joint", lambda p, a, b: qm_like_joint(p, a, b))
+    monkeypatch.setattr(quantum, "qm_unlike_joint", lambda p, a, b: qm_unlike_joint(p, a, b))
     assert integrated_ratio(BMESON) == x * x / (2.0 + x * x)
 
 
