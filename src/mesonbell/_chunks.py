@@ -1,13 +1,14 @@
 """Time-grid checks, chunked array evaluation and the thread scheduler.
 
 ``_run_shares`` runs numbered work items on the calling thread plus helper
-threads.  ``_on_chunks``, the one grid driver, lays the caller's times out as
-a flat grid and hands it the fixed-size chunks, so every array entry point
-(``qm_like_joint``, ``qm_unlike_joint``, ``joint_probabilities``,
-``lrm_like_joint``, ``p21_conditional``, ``p43_conditional``, the fitter's
-tables and ``evaluate_gap``) is one call of it.  Each output element depends
-only on its own row, so the outputs are the same bits whatever the chunking
-or thread count.
+threads.  ``_on_chunks``, the one grid driver, checks the caller's times
+against the species' time domain, lays them out as a flat grid and hands it
+the fixed-size chunks, so every array entry point (``qm_like_joint``,
+``qm_unlike_joint``, ``joint_probabilities``, ``lrm_like_joint``,
+``p21_conditional``, ``p43_conditional``, the fitter's tables and
+``evaluate_gap``) is one call of it.  Each output element depends only on
+its own row, so the outputs are the same bits whatever the chunking or
+thread count.
 
 The one code path serves one point and 10^6 alike, so its fixed cost is kept
 small: a one-value check compares Python floats (``_in_range``), one row of
@@ -51,14 +52,14 @@ def _in_range(values: np.ndarray, lo: float, hi: float) -> bool:
     return values.size == 0 or bool(values.min() >= lo and values.max() <= hi)
 
 
-def _check_times(*times, t_max: float = sys.float_info.max) -> None:
-    """Every time finite, non-negative and at most t_max (the species' ``_max_time``)."""
+def _check_times(params, *times) -> None:
+    """Every time finite, non-negative and at most the species' ``params._max_time``."""
     for t in times:
         t = np.asarray(t, dtype=float)
-        if not _in_range(t, 0.0, t_max):
+        if not _in_range(t, 0.0, params._max_time):
             # x < inf is x <= the largest float
             if _in_range(t, 0.0, sys.float_info.max):
-                raise ValueError(f"proper times must lie in [0, {t_max:.6g}] s, "
+                raise ValueError(f"proper times must lie in [0, {params._max_time:.6g}] s, "
                                  "beyond which a decay rate or delta_m times t overflows")
             raise ValueError("proper times must be finite and non-negative")
 
@@ -115,22 +116,23 @@ def _run_shares(n_items: int, workers: int, work: Callable[[int], None]) -> None
         raise min(errors, key=lambda error: error[0])[1]
 
 
-def _on_chunks(kernel: Callable, t_a, t_b, *widths: tuple[int, ...], rows_at: Callable | None = None,
-               t_max: float = sys.float_info.max):
+def _on_chunks(kernel: Callable, params, t_a, t_b, *widths: tuple[int, ...],
+               rows_at: Callable | None = None):
     """Evaluate kernel over the time grid (t_a, t_b) in chunks of _CHUNK points.
 
-    The times are checked against t_max, broadcast to one grid and flattened
-    (times of one shape are viewed flat as they are, strided or not).  ``rows_at(t_a, t_b)``,
-    if given, returns rows of k values on the last axis: one (k,) row is
-    handed whole to every chunk, and per-point rows are broadcast over the
-    grid and cut with it.  ``kernel(t_a, t_b, [rows,] *outputs)`` fills each
-    chunk of one float output of shape (n, *width) per width, on one more
-    thread per _CHUNKS_PER_WORKER chunks.  Returns the grid times and the
-    outputs shaped (*grid, *width); a 0-d one comes back as a Python float.
+    The times are checked against ``params._max_time``, broadcast to one grid
+    and flattened (times of one shape are viewed flat as they are, strided or
+    not).  ``rows_at(t_a, t_b)``, if given, returns rows of k values on the
+    last axis: one (k,) row is handed whole to every chunk, and per-point
+    rows are broadcast over the grid and cut with it.  ``kernel(t_a, t_b,
+    [rows,] *outputs)`` fills each chunk of one float output of shape
+    (n, *width) per width, on one more thread per _CHUNKS_PER_WORKER chunks;
+    the error of the lowest failing chunk is raised.  Returns the grid times
+    and the outputs shaped (*grid, *width); a 0-d one comes back as a float.
     """
     t_a = np.asarray(t_a, dtype=float)
     t_b = np.asarray(t_b, dtype=float)
-    _check_times(t_a, t_b, t_max=t_max)
+    _check_times(params, t_a, t_b)
     if t_a.shape == t_b.shape:
         grid, inputs = t_a.shape, [t_a, t_b] if t_a.ndim == 1 else [t_a.reshape(-1), t_b.reshape(-1)]
     else:

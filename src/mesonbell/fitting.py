@@ -37,7 +37,7 @@ import numpy as np
 
 from .constants import OscillationParams
 from ._chunks import _on_chunks
-from .lrm import EfficiencyWeights, RhoProfile, _joint_columns, _store_joints, _weight_rows, _weighted_rate
+from .lrm import EfficiencyWeights, RhoProfile, _joint_columns, _store_joints, _weighted_rate
 from .quantum import _joint
 
 __all__ = [
@@ -112,8 +112,7 @@ def _table_chunk(params, rho, t_a, t_b, p, qm):
 
 def _tables(params, rho, t_a, t_b):
     """(P, qm) on the grid (t_a, t_b), at least 1-D."""
-    _, _, p, qm = _on_chunks(partial(_table_chunk, params, rho), np.atleast_1d(t_a), t_b, (4,), (),
-                             t_max=params._max_time)
+    _, _, p, qm = _on_chunks(partial(_table_chunk, params, rho), params, np.atleast_1d(t_a), t_b, (4,), ())
     return p, qm
 
 
@@ -322,6 +321,6 @@ def evaluate_gap(params: OscillationParams, rho: RhoProfile, weights: Efficiency
         np.subtract(lrm, qm, out=gap)
 
     # a 1-D t_a keeps the table at least 1-D
-    t_a, t_b, p, qm, lrm, gap = _on_chunks(kernel, np.atleast_1d(grid_t_a), grid_t_b, (4,), (), (), (),
-                                           rows_at=partial(_weight_rows, weights), t_max=params._max_time)
+    t_a, t_b, p, qm, lrm, gap = _on_chunks(kernel, params, np.atleast_1d(grid_t_a), grid_t_b,
+                                           (4,), (), (), (), rows_at=weights._rows)
     return CurveTable(t_a=t_a, t_b=t_b, qm=qm, lrm=lrm, p=p, gap=gap)

@@ -71,16 +71,16 @@ enters: unequal weights bias the post-selected sample.
 ``joint_probabilities`` (the times' broadcast shape plus a last axis of 4),
 ``lrm_like_joint``, ``p21_conditional`` and ``p43_conditional`` (that shape,
 or a float at two scalar times) are each one call of the grid driver of
-``mesonbell._chunks``.  Every value depends only on its own time pair, so
+``mesonbell._chunks``, which checks their times (the conditionals' kernel
+also checks t_a <= t_b).  Every value depends only on its own time pair, so
 the output is the same bits whatever the chunking, and an inadmissible rho
-raises at the first offending time pair in array order.
+or a disordered pair raises at the first offending time pair in array order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -150,7 +150,7 @@ INITIAL_PAIRS = ((K1, K4), (K2, K3), (K3, K2), (K4, K1))
 
 def survival(params: OscillationParams, which: str, t):
     """Survival probability e^{-gamma t} of the short- or long-lived branch."""
-    _check_times(t, t_max=params._max_time)
+    _check_times(params, t)
     if which == "short":
         return np.exp(-params.gamma_s * np.asarray(t, dtype=float))
     if which == "long":
@@ -174,13 +174,13 @@ def _q(params: OscillationParams, t, sign: float):
 
 def q_plus(params: OscillationParams, t):
     """Oscillation weight Q+(t) in [0, 1]; Q+(0) = 1."""
-    _check_times(t, t_max=params._max_time)
+    _check_times(params, t)
     return _q(params, t, +1.0)
 
 
 def q_minus(params: OscillationParams, t):
     """Oscillation weight Q-(t) = 1 - Q+(t); Q-(0) = 0."""
-    _check_times(t, t_max=params._max_time)
+    _check_times(params, t)
     return _q(params, t, -1.0)
 
 
@@ -190,9 +190,10 @@ def rho_bounds(params: OscillationParams, t):
     lower = max(-E_S Q+, -E_L Q-), upper = min(E_S Q-, E_L Q+); the range
     always contains 0 and degenerates to (0, 0) at t = 0.
     """
-    _check_times(t, t_max=params._max_time)
-    e_s = survival(params, "short", t)
-    e_l = survival(params, "long", t)
+    _check_times(params, t)
+    t = np.asarray(t, dtype=float)
+    e_s = np.exp(-params.gamma_s * t)
+    e_l = np.exp(-params.gamma_l * t)
     qp = _q(params, t, +1.0)
     qm = _q(params, t, -1.0)
     lower = np.maximum(-e_s * qp, -e_l * qm)
@@ -244,6 +245,8 @@ class RhoProfile:
         ts = [k[0] for k in knots]
         if any(not math.isfinite(t) or t < 0.0 for t in ts):
             raise ValueError("knot times must be finite and non-negative")
+        if not all(math.isfinite(v) for _, v in knots):
+            raise ValueError("knot values must be finite")
         if sorted(ts) != ts or len(set(ts)) != len(ts):
             raise ValueError("knot times must be strictly increasing")
         object.__setattr__(self, "knots", knots)
@@ -266,14 +269,14 @@ class RhoProfile:
 
     def value(self, params: OscillationParams, t):
         """rho(t), checked against both bound pairs at every evaluated time."""
-        _check_times(t, t_max=params._max_time)
+        _check_times(params, t)
         t = np.asarray(t, dtype=float)
         if self.kind == "zero":
             rho = np.zeros_like(t)
         elif self.kind == "saturate_upper_short":
-            rho = survival(params, "short", t) * _q(params, t, -1.0)
+            rho = np.exp(-params.gamma_s * t) * _q(params, t, -1.0)
         elif self.kind == "saturate_lower_short":
-            rho = -survival(params, "short", t) * _q(params, t, +1.0)
+            rho = -np.exp(-params.gamma_s * t) * _q(params, t, +1.0)
         else:
             rho = _interp_knots(self.knots, t)
         self._check_fractions(params, t[np.newaxis])
@@ -325,12 +328,6 @@ class RhoProfile:
         return w2, w4
 
 
-def _require_ordered(params: OscillationParams, t_a, t_b) -> None:
-    _check_times(t_a, t_b, t_max=params._max_time)
-    if np.any(np.asarray(t_b, dtype=float) < np.asarray(t_a, dtype=float)):
-        raise TimeOrderingError("conditional flips require t_a <= t_b")
-
-
 def _increments(params: OscillationParams, rho: RhoProfile, t_a, t_b, branches=(0, 1)):
     """Flip fractions (w2, w4) at t_a, then the flips within (t_a, t_b] of the branches asked for.
 
@@ -346,12 +343,15 @@ def _increments(params: OscillationParams, rho: RhoProfile, t_a, t_b, branches=(
 
 def _conditional(params: OscillationParams, rho: RhoProfile, branch: int, t_a, t_b):
     """p21 (branch 0) or p43 (branch 1) within (t_a, t_b], one call of the grid driver."""
-    _require_ordered(params, t_a, t_b)
-
     def kernel(t_a, t_b, out):
+        disordered = t_b < t_a
+        if disordered.any():
+            first = disordered.argmax()     # the pairs before it raise first
+            _increments(params, rho, t_a[:first], t_b[:first])
+            raise TimeOrderingError("conditional flips require t_a <= t_b")
         out[:] = _increments(params, rho, t_a, t_b, (branch,))[2]
 
-    return _on_chunks(kernel, t_a, t_b, (), t_max=params._max_time)[2]
+    return _on_chunks(kernel, params, t_a, t_b, ())[2]
 
 
 def p21_conditional(params: OscillationParams, rho: RhoProfile, t_a, t_b):
@@ -416,7 +416,7 @@ def joint_probabilities(params: OscillationParams, rho: RhoProfile, t_a, t_b):
     def kernel(t_a, t_b, out):
         _store_joints(_joint_columns(params, rho, t_a, t_b), out)
 
-    _, _, p = _on_chunks(kernel, t_a, t_b, (4,), t_max=params._max_time)
+    _, _, p = _on_chunks(kernel, params, t_a, t_b, (4,))
     return p
 
 
@@ -471,13 +471,19 @@ class EfficiencyWeights:
         cols = []
         for i, w in enumerate(self.as_tuple(), 1):
             v = np.asarray(w(t_a, t_b) if callable(w) else w, dtype=float)
-            if len(v.shape) > len(grid) or any(k not in (1, g) for k, g in zip(v.shape[::-1], grid[::-1])):
+            try:
+                cols.append(np.broadcast_to(v, grid))
+            except ValueError:
                 raise ValueError(f"weight a{i} has shape {v.shape}, which does not broadcast "
-                                 f"to the time grid's shape {grid}")
-            cols.append(np.broadcast_to(v, grid))
+                                 f"to the time grid's shape {grid}") from None
         out = np.stack(cols, axis=-1)
         _validate_weight_values(out)
         return out
+
+    def _rows(self, t_a, t_b) -> np.ndarray:
+        """a1..a4 at (t_a, t_b), to be broadcast over their grid: the one (4,) row
+        of plain numbers made and checked with the weights, else ``values`` once."""
+        return self.values(t_a, t_b) if self._row is None else self._row
 
     def total_efficiency(self, t_a=0.0, t_b=0.0):
         """Mean of the four weights, evaluated at (t_a, t_b) if time-dependent:
@@ -492,16 +498,6 @@ def _validate_weight_values(values: np.ndarray) -> None:
         raise WeightRangeError(f"acceptance weights must lie in [0, 1]; got {float(bad.flat[0])!r}")
 
 
-def _weight_rows(weights: EfficiencyWeights, t_a, t_b) -> np.ndarray:
-    """a1..a4 at the times (t_a, t_b), to be broadcast over their grid.
-
-    Plain numbers give the one (4,) row made and checked with the weights,
-    not a copy of it per time pair; otherwise ``weights.values`` is called
-    once with (t_a, t_b).
-    """
-    return weights.values(t_a, t_b) if weights._row is None else weights._row
-
-
 def lrm_like_joint(params: OscillationParams, rho: RhoProfile, weights: EfficiencyWeights, t_a, t_b):
     """Efficiency-weighted like-flavor prediction (1/4) sum_i a_i P_i, either time order.
 
@@ -510,6 +506,5 @@ def lrm_like_joint(params: OscillationParams, rho: RhoProfile, weights: Efficien
     def kernel(t_a, t_b, a, out):
         _weighted_rate(_joint_columns(params, rho, t_a, t_b), a, out)
 
-    _, _, rate = _on_chunks(kernel, t_a, t_b, (), rows_at=partial(_weight_rows, weights),
-                            t_max=params._max_time)
+    _, _, rate = _on_chunks(kernel, params, t_a, t_b, (), rows_at=weights._rows)
     return rate

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import OscillationParams
-from .lrm import EfficiencyWeights, RhoProfile, _weight_rows, joint_probabilities
+from .lrm import EfficiencyWeights, RhoProfile, joint_probabilities
 from .quantum import TimePair
 
 __all__ = [
@@ -105,7 +105,7 @@ def _event_probabilities(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
             f"joint probabilities outside [0, 1] at (t_a={t_a!r}, t_b={t_b!r}): {p}; "
             "the configured time pair lies outside the model's validity domain"
         )
-    return p, _weight_rows(config.weights, t_a, t_b)
+    return p, config.weights._rows(t_a, t_b)
 
 
 def _draws(config: SimConfig, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

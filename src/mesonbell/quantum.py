@@ -135,13 +135,13 @@ def qm_like_joint(params: OscillationParams, t_a, t_b):
     Exactly 0.0 at t_a = t_b: the antisymmetric state is perfectly
     anti-correlated at equal proper times.
     """
-    _, _, like = _on_chunks(partial(_joint, params, np.sin), t_a, t_b, (), t_max=params._max_time)
+    _, _, like = _on_chunks(partial(_joint, params, np.sin), params, t_a, t_b, ())
     return like
 
 
 def qm_unlike_joint(params: OscillationParams, t_a, t_b):
     """Probability of tagging opposite flavors at (t_a, t_b)."""
-    _, _, unlike = _on_chunks(partial(_joint, params, np.cos), t_a, t_b, (), t_max=params._max_time)
+    _, _, unlike = _on_chunks(partial(_joint, params, np.cos), params, t_a, t_b, ())
     return unlike
 
 
@@ -216,8 +216,10 @@ def integrated_ratio(
     its own regions.  Each provider is called with whole arrays of times,
     and the cubature makes at most 200 subdivisions.
 
-    Raises QuadratureError when the cubature does not converge or its error
-    estimate for the ratio exceeds ``rel_tol``.
+    ``rel_tol`` is the cubature's tolerance, which the closed form does not
+    read.  The cubature raises ValueError unless it is finite and positive,
+    and QuadratureError when the box area overflows a float, when it does
+    not converge or when its error estimate for the ratio exceeds ``rel_tol``.
     """
     if like_joint is None and unlike_joint is None:
         # everything in units of gamma_s, so no square over- or underflows
@@ -227,6 +229,13 @@ def integrated_ratio(
         half_split = 0.5 * ((params.gamma_s - params.gamma_l) / params.gamma_s)
         numerator = half_split * half_split + x * x
         return numerator / (numerator + 2.0 * width_ratio)
+
+    if not 0.0 < rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol!r}")
+    t_max = 40.0 / params.gamma_l
+    if math.isinf(t_max * t_max):
+        raise QuadratureError(f"cubature box [0, {t_max:.6g}] s per axis has an area "
+                              "beyond the largest float")
 
     from scipy import integrate
 
@@ -239,7 +248,6 @@ def integrated_ratio(
         unlike = np.broadcast_to(np.asarray(unlike_joint(params, t_a, t_b), dtype=float), t_a.shape)
         return np.stack([like, unlike], axis=-1)
 
-    t_max = 40.0 / params.gamma_l
     t_short = 30.0 / params.gamma_s
     # half of rel_tol per integral bounds the ratio's relative error by rel_tol
     res = integrate.cubature(joints, [0.0, 0.0], [t_max, t_max], rtol=0.5 * rel_tol, atol=0.0,

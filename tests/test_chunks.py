@@ -22,6 +22,7 @@ from mesonbell.lrm import (
     EfficiencyWeights,
     InadmissibleRhoError,
     RhoProfile,
+    TimeOrderingError,
     joint_probabilities,
     lrm_like_joint,
     p21_conditional,
@@ -277,6 +278,53 @@ def test_the_later_time_of_an_earlier_pair_is_raised_first(monkeypatch):
         with pytest.raises(InadmissibleRhoError) as err:
             joint_probabilities(BMESON, rho, t_a, t_b)
         assert err.value.t == period
+
+
+@pytest.mark.parametrize("conditional", [p21_conditional, p43_conditional])
+def test_a_conditional_raises_the_first_bad_pair_whether_disordered_or_inadmissible(monkeypatch, conditional):
+    # saturate_lower_short is inadmissible for the kaon at 0.3/gamma_s and
+    # admissible at 3-4/gamma_s; a disordered pair and an inadmissible pair
+    # share one chunk (SERIAL), sit in chunks 3 and 7 (7) or in chunk 0 (64)
+    rho = RhoProfile.saturate_lower_short()
+    for inadmissible, disordered in [(23, 50), (50, 23), (23, 24), (24, 23)]:
+        t_a, t_b = np.full(70, 3.0 / G), np.full(70, 4.0 / G)
+        t_a[inadmissible], t_b[inadmissible] = 0.3 / G, 0.5 / G
+        t_a[disordered], t_b[disordered] = 4.0 / G, 3.0 / G
+        for chunk, workers in [(SERIAL, 1), (7, 3), (64, 2)]:
+            use_chunks(monkeypatch, chunk, workers)
+            if inadmissible < disordered:
+                with pytest.raises(InadmissibleRhoError) as err:
+                    conditional(KAON, rho, t_a, t_b)
+                assert err.value.t == 0.3 / G
+            else:
+                with pytest.raises(TimeOrderingError, match="^conditional flips require t_a <= t_b$"):
+                    conditional(KAON, rho, t_a, t_b)
+    # at one pair both wrong, the order error is raised
+    with pytest.raises(TimeOrderingError):
+        conditional(KAON, rho, 0.5 / G, 0.3 / G)
+
+
+def test_each_public_call_checks_its_times_once(monkeypatch):
+    check, calls = _chunks._check_times, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        check(*args, **kwargs)
+
+    monkeypatch.setattr(_chunks, "_check_times", counting)
+    monkeypatch.setattr(lrm, "_check_times", counting)
+    t = np.linspace(0.5, 5.0, 30) / G
+    for call in [lambda: rho_bounds(KAON, t), lambda: rho_bounds(BMESON, 1e-12),
+                 lambda: p21_conditional(KAON, RhoProfile.zero(), t, 2 * t),
+                 lambda: p43_conditional(KAON, RhoProfile.saturate_upper_short(), t, 2 * t)]:
+        calls.clear()
+        call()
+        assert len(calls) == 1
+    for rho in (RhoProfile.zero(), RhoProfile.saturate_upper_short(), RhoProfile.saturate_lower_short(),
+                tabulated(KAON)):
+        calls.clear()
+        rho.value(KAON, t[10:])
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("bad", [np.nan, -1e-12, np.inf])

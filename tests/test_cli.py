@@ -490,6 +490,16 @@ def test_unknown_rho_kind_is_one_line_naming_the_kinds(tmp_path, capsys, argv, c
         assert shown in " ".join(_subparser("curve").format_help().split())
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_a_non_finite_rho_knot_value_is_one_line_naming_it(tmp_path, capsys, value):
+    # Python's json reads these literals as floats
+    path = tmp_path / "knots.json"
+    path.write_text(f'{{"rho": {{"kind": "tabulated", "knots": [[0, 0], [1, {value}]]}}}}')
+    code, out, err = run(capsys, "curve", "--config", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: ValueError: knot values must be finite\n"
+
+
 def test_each_command_registers_only_the_flags_it_reads():
     common = {"--species", "--rho", "--preset", "--weights", "--grid", "--tb-rule", "--time-unit", "--config"}
     expected = {"curve": common | {"--out"}, "fit": common | {"--eta", "--out", "--objective"},

@@ -206,6 +206,10 @@ def test_profile_construction_validation():
     for knots in (None, 5, [[1], [2]], [[None, 0], [1, 0]], [["t", 0], [1, 0]]):
         with pytest.raises(ValueError):
             RhoProfile("tabulated", knots)
+    # a non-finite knot value is named as such, not as an inadmissible rho at evaluation
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^knot values must be finite$"):
+            RhoProfile.tabulated([(0.0, 0.0), (1e-10, value)])
     with pytest.raises(ValueError):
         RhoProfile.tabulated([(1.0, 0.0), (0.5, 0.0)])
     with pytest.raises(ValueError):

@@ -284,6 +284,23 @@ def test_integrated_ratio_nonconvergence_raises(monkeypatch):
                       {"like_joint": qm_like_joint}, {"unlike_joint": qm_unlike_joint}):
         with pytest.raises(QuadratureError, match="within 1 subdivisions"):
             integrated_ratio(KAON, **providers)
+    # a box edge 40/gamma_l = 4e291 s whose square overflows is named before
+    # any cubature (which returned nan with warnings); the closed form gives 1.0
+    params = OscillationParams("x", gamma_s=1e10, gamma_l=1e-290, delta_m=1e10)
+    assert integrated_ratio(params) == 1.0
+    with pytest.raises(QuadratureError, match=r"^cubature box \[0, 4e\+291\] s per axis has an area beyond"):
+        integrated_ratio(params, qm_like_joint, qm_unlike_joint, rel_tol=1e-3)
+
+
+@pytest.mark.parametrize("rel_tol", [float("nan"), float("inf"), 0.0, -1e-8])
+def test_integrated_ratio_rejects_a_rel_tol_that_is_not_finite_and_positive(monkeypatch, rel_tol):
+    # raised before any cubature: one subdivision would fail with QuadratureError
+    monkeypatch.setattr(quantum, "_MAX_SUBDIVISIONS", 1)
+    for providers in (QM_JOINTS, (qm_like_joint,), (None, qm_unlike_joint)):
+        with pytest.raises(ValueError, match=r"^rel_tol must be finite and positive, got "):
+            integrated_ratio(BMESON, *providers, rel_tol=rel_tol)
+    # the closed form does not read it
+    assert integrated_ratio(BMESON, rel_tol=rel_tol) == integrated_ratio(BMESON)
 
 
 def test_integrated_ratio_accepts_scalar_providers():
