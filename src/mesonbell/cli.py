@@ -98,14 +98,24 @@ def _parse_weights(text: str) -> tuple[float, float, float, float]:
         raise CliError(f"--weights values must be numeric, got {text!r}") from None
 
 
+def _numbers(values) -> bool:
+    """Whether every value is a JSON number (a bool is not one)."""
+    return all(type(v) in (int, float) for v in values)
+
+
 def _parse_grid(spec) -> tuple[float, float, int]:
     """'tmin:tmax:n' from a flag, or [tmin, tmax, n] from a config file."""
-    parts = spec.split(":") if isinstance(spec, str) else spec
-    if len(parts) != 3 or (not isinstance(spec, str) and type(parts[2]) is not int):
+    if isinstance(spec, str):
+        parts = spec.split(":")
+    elif len(spec) == 3 and _numbers(spec[:2]) and type(spec[2]) is int:
+        parts = spec
+    else:
+        raise CliError(f"config value 'grid' must be [tmin, tmax, n], numbers with an integer n, got {spec!r}")
+    if len(parts) != 3:
         raise CliError(f"--grid expects 'tmin:tmax:n' (integer n) in units of 1/gamma_s, got {spec!r}")
     try:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    except (TypeError, ValueError):
+    except ValueError:
         raise CliError(f"--grid fields must be numeric, got {spec!r}") from None
     if n < 1 or hi < lo or lo < 0.0:
         raise CliError(f"--grid needs 0 <= tmin <= tmax and n >= 1, got {spec!r}")
@@ -180,6 +190,8 @@ def _scenario(args: argparse.Namespace) -> dict:
     weights = scenario["weights"]
     if isinstance(weights, str):
         weights = _parse_weights(weights)
+    elif not (len(weights) == 4 and _numbers(weights)):
+        raise CliError(f"config value 'weights' must be four numbers [a1, a2, a3, a4], got {weights!r}")
     try:
         weights = EfficiencyWeights.constant(*weights)
     except (TypeError, ValueError) as exc:

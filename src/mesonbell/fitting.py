@@ -23,8 +23,9 @@ reproduces QM identically wherever it is feasible, i.e. wherever the
 required ratios stay inside [0, 1].
 
 The (P, QM) tables and ``evaluate_gap`` are each one call of the grid
-driver of ``mesonbell._chunks``, with columns at least 1-D; grids under
-2^19 points, the fit grids included, stay on the calling thread.
+driver of ``mesonbell._chunks``, with the columns of ``evaluate_gap`` at
+least 1-D; grids under 2^19 points, the fit grids included, stay on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -111,8 +112,8 @@ def _table_chunk(params, rho, t_a, t_b, p, qm):
 
 
 def _tables(params, rho, t_a, t_b):
-    """(P, qm) on the grid (t_a, t_b), at least 1-D."""
-    _, _, p, qm = _on_chunks(partial(_table_chunk, params, rho), params, np.atleast_1d(t_a), t_b, (4,), ())
+    """(P, qm) on the grid (t_a, t_b), in its broadcast shape."""
+    _, _, p, qm = _on_chunks(partial(_table_chunk, params, rho), params, t_a, t_b, (4,), ())
     return p, qm
 
 
@@ -139,7 +140,7 @@ class TrivialWeightsResult:
     """Pointwise a_i = QM / P_i weights plus the feasibility diagnostics.
 
     ``raw_ratios`` holds the unclipped ratios on the problem grid (0 where
-    P_i has no support); the returned weight functions clip them into [0, 1].
+    P_i has no support); the returned weight rows clip them into [0, 1].
     Points where any ratio had to be clipped are flagged in ``capped`` and
     the exact-reproduction guarantee is lost there, which is why they are
     excluded from ``feasible``.  ``pointwise_eta`` is the mean of the four
@@ -164,11 +165,11 @@ class TrivialWeightsResult:
 def _trivial_ratio_table(params, rho, t_a, t_b):
     p, qm = _tables(params, rho, t_a, t_b)
     supported = p > SUPPORT_FLOOR
-    n_support = supported.sum(axis=1)
+    n_support = supported.sum(axis=-1, keepdims=True)
     # spread the reproduction load evenly over the supported configurations
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(n_support > 0, 4.0 / np.maximum(n_support, 1), 0.0)
-        ratios = np.where(supported, scale[:, None] * qm[:, None] / np.where(supported, p, 1.0), 0.0)
+        ratios = np.where(supported, scale * np.expand_dims(qm, -1) / np.where(supported, p, 1.0), 0.0)
     return ratios, supported
 
 
@@ -177,37 +178,17 @@ def trivial_weights(problem: FitProblem) -> TrivialWeightsResult:
 
     At grid points where some P_i has no support, that weight is set to 0 and
     the remaining ones are rescaled by 4/k to keep the identity
-    (1/4) sum a_i P_i = QM.  Ratios outside [0, 1] are clipped by the returned
-    weight functions, never silently: such points are reported as capped and
-    not counted feasible.
+    (1/4) sum a_i P_i = QM.  The returned weights are one row function that
+    builds the ratio table once per evaluation, at the times asked for.
+    Ratios outside [0, 1] are clipped in the weight rows, never silently:
+    such points are reported as capped and not counted feasible.
     """
     params, rho = problem.params, problem.rho
     ratios, supported = _trivial_ratio_table(params, rho, problem.grid_t_a, problem.grid_t_b)
     capped = np.any((ratios < 0.0) | (ratios > 1.0), axis=1)
     feasible = ~capped & np.any(supported, axis=1)
-    clipped = np.clip(ratios, 0.0, 1.0)
-
-    # EfficiencyWeights.values calls the four weights in turn with the same
-    # times, so they share the last table built, held as one
-    # (t_a, t_b, ratios) entry that is replaced whole
-    last: list = [None]
-
-    def shared_ratios(t_a, t_b):
-        t_a = np.asarray(t_a, dtype=float)
-        t_b = np.asarray(t_b, dtype=float)
-        entry = last[0]
-        if entry is None or not (np.array_equal(t_a, entry[0]) and np.array_equal(t_b, entry[1])):
-            entry = (t_a.copy(), t_b.copy(), _trivial_ratio_table(params, rho, t_a, t_b)[0])
-            last[0] = entry
-        return entry[2]
-
-    def make_weight(i):
-        def weight(t_a, t_b):
-            out = np.clip(shared_ratios(t_a, t_b)[..., i], 0.0, 1.0)
-            return out if np.ndim(t_a) or np.ndim(t_b) else out.item()  # tables are (1, 4) at scalar times
-        return weight
-
-    weights = EfficiencyWeights(*(make_weight(i) for i in range(4)))
+    weights = EfficiencyWeights(
+        lambda t_a, t_b: np.clip(_trivial_ratio_table(params, rho, t_a, t_b)[0], 0.0, 1.0))
     return TrivialWeightsResult(
         weights=weights,
         grid_t_a=problem.grid_t_a,
@@ -216,7 +197,7 @@ def trivial_weights(problem: FitProblem) -> TrivialWeightsResult:
         supported=supported,
         capped=capped,
         feasible=feasible,
-        pointwise_eta=clipped.mean(axis=1),
+        pointwise_eta=np.clip(ratios, 0.0, 1.0).mean(axis=1),
     )
 
 

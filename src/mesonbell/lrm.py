@@ -66,7 +66,8 @@ initial hidden configuration.  The observed like-flavor rate is then
     P = (1/4) [a1 P1 + a2 P2 + a3 P3 + a4 P4],
 
 which is where hidden-variable-correlated detection (the detection loophole)
-enters: unequal weights bias the post-selected sample.
+enters: unequal weights bias the post-selected sample.  ``EfficiencyWeights``
+holds four constants or one function of (t_a, t_b) whose last axis is a1..a4.
 
 ``joint_probabilities`` (the times' broadcast shape plus a last axis of 4),
 ``lrm_like_joint``, ``p21_conditional`` and ``p43_conditional`` (that shape,
@@ -80,6 +81,7 @@ or a disordered pair raises at the first offending time pair in array order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -420,28 +422,34 @@ def joint_probabilities(params: OscillationParams, rho: RhoProfile, t_a, t_b):
     return p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EfficiencyWeights:
-    """Acceptance weights a1..a4 in [0, 1], constants or functions of (t_a, t_b).
+    """Acceptance weights a1..a4 in [0, 1]: four numbers, or one function of (t_a, t_b).
 
+    ``EfficiencyWeights(a1, a2, a3, a4)`` holds four constants.
+    ``EfficiencyWeights(rows)`` holds a function ``rows(t_a, t_b)`` that
+    returns a1..a4 on a last axis of four, in any shape that broadcasts to
+    the grid of (t_a, t_b) plus that axis; it is called once per evaluation.
     Weight a_i multiplies the joint probability of the i-th initial hidden
     configuration; the total efficiency is the mean of the four.
     """
 
-    a1: float | Callable
-    a2: float | Callable
-    a3: float | Callable
-    a4: float | Callable
+    a: tuple[float, float, float, float] | Callable
 
-    def __post_init__(self) -> None:
-        constants = [np.asarray(w, dtype=float) for w in self.as_tuple() if not callable(w)]
-        for constant in constants:
-            _validate_weight_values(constant)
-        # four plain numbers make one row for every grid
+    def __init__(self, *a) -> None:
         row = None
-        if len(constants) == 4 and not any(constant.ndim for constant in constants):
-            row = np.array(constants)
+        if len(a) == 4 and all(isinstance(w, numbers.Real) for w in a):
+            a = tuple(float(w) for w in a)
+            row = np.array(a)       # the one row for every grid
             row.flags.writeable = False
+            if not all(0.0 <= w <= 1.0 for w in a):     # four floats compare faster than a row's reductions
+                _validate_weight_values(row)
+        elif len(a) == 1 and callable(a[0]):
+            a = a[0]
+        else:
+            raise TypeError("EfficiencyWeights takes four numbers a1..a4 or one function "
+                            "rows(t_a, t_b) returning a1..a4 on a last axis of four")
+        object.__setattr__(self, "a", a)
         object.__setattr__(self, "_row", row)
 
     @classmethod
@@ -452,37 +460,35 @@ class EfficiencyWeights:
     def uniform(cls, value: float) -> "EfficiencyWeights":
         return cls.constant(value, value, value, value)
 
-    def as_tuple(self):
-        return (self.a1, self.a2, self.a3, self.a4)
+    def as_tuple(self) -> tuple[float, float, float, float]:
+        """The four numbers of constant weights."""
+        if self._row is None:
+            raise TypeError("time-dependent weights have no single tuple; use values(t_a, t_b)")
+        return self.a
 
     @property
     def is_constant(self) -> bool:
-        return not any(callable(w) for w in self.as_tuple())
+        return self._row is not None
 
     def values(self, t_a, t_b) -> np.ndarray:
-        """Evaluate the four weights at (t_a, t_b), stacked on a new last axis.
+        """a1..a4 at (t_a, t_b): a read-only array of the times' broadcast shape plus a last axis of four.
 
-        Each weight's values must broadcast to the grid of (t_a, t_b) as they
-        are; a ValueError names the first that does not.
+        Rows that do not broadcast to that shape raise a ValueError naming both shapes.
         """
-        t_a = np.asarray(t_a, dtype=float)
-        t_b = np.asarray(t_b, dtype=float)
-        grid = np.broadcast_shapes(t_a.shape, t_b.shape)
-        cols = []
-        for i, w in enumerate(self.as_tuple(), 1):
-            v = np.asarray(w(t_a, t_b) if callable(w) else w, dtype=float)
-            try:
-                cols.append(np.broadcast_to(v, grid))
-            except ValueError:
-                raise ValueError(f"weight a{i} has shape {v.shape}, which does not broadcast "
-                                 f"to the time grid's shape {grid}") from None
-        out = np.stack(cols, axis=-1)
+        shape = np.broadcast_shapes(np.shape(t_a), np.shape(t_b)) + (4,)
+        rows = self._row if self._row is not None else np.asarray(
+            self.a(np.asarray(t_a, dtype=float), np.asarray(t_b, dtype=float)), dtype=float)
+        try:
+            out = np.broadcast_to(rows, shape)
+        except ValueError:
+            raise ValueError(f"weight rows have shape {rows.shape}, which does not broadcast "
+                             f"to {shape}, the time grid's shape plus a last axis of a1..a4") from None
         _validate_weight_values(out)
         return out
 
     def _rows(self, t_a, t_b) -> np.ndarray:
         """a1..a4 at (t_a, t_b), to be broadcast over their grid: the one (4,) row
-        of plain numbers made and checked with the weights, else ``values`` once."""
+        of constant weights, else ``values`` once."""
         return self.values(t_a, t_b) if self._row is None else self._row
 
     def total_efficiency(self, t_a=0.0, t_b=0.0):

@@ -64,6 +64,19 @@ def callable_weight(phase):
     return lambda t_a, t_b: 0.5 + 0.4 * np.sin(G * np.asarray(t_a) + phase) * np.cos(G * np.asarray(t_b))
 
 
+def stacked_weights(*columns):
+    """Constant weights from four numbers, else one row function that stacks the
+    columns, each a number or a function of (t_a, t_b), on a last axis of four."""
+    if not any(callable(column) for column in columns):
+        return EfficiencyWeights(*columns)
+
+    def rows(t_a, t_b):
+        grid = np.broadcast_shapes(np.shape(t_a), np.shape(t_b))
+        return np.stack([np.broadcast_to(column(t_a, t_b) if callable(column) else column, grid)
+                         for column in columns], axis=-1)
+    return EfficiencyWeights(rows)
+
+
 def outcomes(params, rho, weights, t_a, t_b):
     """Every output of the array entry points, or the errors they raise."""
     out = [qm_like_joint(params, t_a, t_b), qm_unlike_joint(params, t_a, t_b)]
@@ -106,7 +119,7 @@ def test_outputs_do_not_depend_on_chunking_or_threads(chunk, size, layout, speci
     rho = tabulated(params) if rho_kind == "tabulated" else RhoProfile(rho_kind)
     rng = np.random.default_rng(seed)
     a = rng.uniform(0.0, 1.0, 4)
-    weights = EfficiencyWeights(*(callable_weight(i) if c else float(a[i]) for i, c in enumerate(callables)))
+    weights = stacked_weights(*(callable_weight(i) if c else float(a[i]) for i, c in enumerate(callables)))
     # mixed time order, with some equal pairs
     t_a = rng.uniform(0.5, 5.0, 2 * n) / params.gamma_s
     t_b = np.where(rng.random(2 * n) < 0.1, t_a, rng.uniform(0.5, 5.0, 2 * n) / params.gamma_s)
@@ -183,7 +196,7 @@ def test_one_pair_gives_the_same_bits_and_errors_in_every_form(entry, params, rh
     t_a, t_b = u_a / g, u_b / g
     if bad is not None:
         t_a, t_b = (t_a, bad) if bad_in_t_b else (bad, t_b)
-    weights = EfficiencyWeights(*(callable_weight(i) if c else 0.25 * (i + 1) for i, c in enumerate(callables)))
+    weights = stacked_weights(*(callable_weight(i) if c else 0.25 * (i + 1) for i, c in enumerate(callables)))
     # the other grid points are ordered pairs where the profile is admissible
     k = k % n
     rng = np.random.default_rng(seed)
@@ -515,7 +528,7 @@ def test_an_interrupt_while_waiting_is_raised_once_the_helpers_end():
 
 def test_outputs_survive_forced_thread_switching(monkeypatch):
     # more threads than cores, switching as often as the interpreter allows
-    weights = EfficiencyWeights(callable_weight(0.3), 0.13, 0.03, callable_weight(1.1))
+    weights = stacked_weights(callable_weight(0.3), 0.13, 0.03, callable_weight(1.1))
     t_a = np.linspace(0.5, 5.0, 20 * 64 + 7) / G
     t_b = t_a[::-1].copy()
     use_chunks(monkeypatch, SERIAL, 1)

@@ -199,6 +199,8 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     ("curve", {"rho": {"knots": 5, "kind": "tabulated"}}),
     ("curve", {"rho": {"knots": [[1], [2]], "kind": "tabulated"}}),
     ("curve", {"rho": {"knots": [[None, 0], [1, 0]], "kind": "tabulated"}}),
+    ("curve", {"weights": [1, 0.13, "0.03", True]}), ("curve", {"grid": [0.2, True, 2]}),
+    ("curve", {"grid": [0.2, "5", 2]}),
 ], ids=lambda v: v if v in ("curve", "mc", "fit") else json.dumps(v)[:32])
 def test_bad_config_values_are_single_line_errors(tmp_path, capsys, command, config):
     path = tmp_path / "bad.json"
@@ -206,6 +208,20 @@ def test_bad_config_values_are_single_line_errors(tmp_path, capsys, command, con
     code, out, err = run(capsys, command, "--config", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("config,message", [
+    ({"weights": [1, 0.13, 0.03]}, "config value 'weights' must be four numbers [a1, a2, a3, a4], got [1, 0.13, 0.03]"),
+    ({"weights": [1, 0.13, 0.03, True]},
+     "config value 'weights' must be four numbers [a1, a2, a3, a4], got [1, 0.13, 0.03, True]"),
+    ({"grid": [0.2, True, 2]}, "config value 'grid' must be [tmin, tmax, n], numbers with an integer n, "
+                               "got [0.2, True, 2]"),
+], ids=["three-weights", "bool-weight", "bool-grid-field"])
+def test_config_lists_take_json_numbers_only(tmp_path, capsys, config, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, "curve", "--config", str(path))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_bad_weight_error_shows_the_plain_value(capsys):

@@ -141,6 +141,20 @@ def test_trivial_weights_bmeson_has_feasible_window():
     assert np.max(np.abs(table.gap)) < 1e-12
 
 
+def test_trivial_weights_take_the_grid_shape_of_the_times():
+    # inside the feasible window: a 2-D grid, and a (2, 1) x (3,) grid
+    result = trivial_weights(FitProblem.on_default_grid(BMESON, ZERO, 0.3))
+    g = BMESON.gamma_s
+    square = np.linspace(1.0, 2.5, 16).reshape(4, 4) / g
+    for t_a, t_b in [(square, 1.3 * square), (np.array([[1.0], [1.2]]) / g, np.array([1.3, 1.4, 1.5]) / g)]:
+        grid = np.broadcast_shapes(t_a.shape, t_b.shape)
+        values = result.weights.values(t_a, t_b)
+        flat = result.weights.values(*(x.ravel() for x in np.broadcast_arrays(t_a, t_b)))
+        assert values.shape == grid + (4,)
+        assert values.reshape(-1, 4).tobytes() == flat.tobytes()
+        assert np.max(np.abs(evaluate_gap(BMESON, ZERO, result.weights, t_a, t_b).gap)) <= 1e-12
+
+
 def test_trivial_weights_raw_ratio_identity():
     # wherever all four joints have support, (1/4) sum r_i P_i == QM even if
     # some ratio exceeds the box (those points are flagged, not hidden)
@@ -353,11 +367,9 @@ def test_trivial_weights_build_one_table_per_evaluation(monkeypatch):
     problem = FitProblem.on_default_grid(BMESON, ZERO, 0.3)
     result = trivial_weights(problem)
 
-    def alone(i):  # each weight building its own table
-        return lambda t_a, t_b: np.clip(
-            fitting._trivial_ratio_table(BMESON, ZERO, t_a, t_b)[0][..., i], 0.0, 1.0)
-
-    reference = EfficiencyWeights(*(alone(i) for i in range(4)))
+    # the ratios of a fit problem posed at the evaluated times
+    reference = EfficiencyWeights(lambda t_a, t_b: np.clip(
+        trivial_weights(FitProblem(BMESON, ZERO, 0.3, t_a, t_b)).raw_ratios, 0.0, 1.0))
     tables = fitting._tables
     builds = []
 
@@ -365,7 +377,7 @@ def test_trivial_weights_build_one_table_per_evaluation(monkeypatch):
         monkeypatch.setattr(fitting, "_tables", lambda *args: builds.append(args) or tables(*args))
         builds.clear()
         table = evaluate_gap(BMESON, ZERO, result.weights, t_a, t_b)
-        # the four weights share one table; evaluate_gap builds its own columns in chunks
+        # the row function builds one table; evaluate_gap builds its own columns in chunks
         assert len(builds) == 1
         monkeypatch.setattr(fitting, "_tables", tables)
         expected = evaluate_gap(BMESON, ZERO, reference, t_a, t_b)
@@ -378,8 +390,9 @@ def test_trivial_weights_build_one_table_per_evaluation(monkeypatch):
     check(t_a, t_b)
     t_a *= 1.1  # same array objects, new times
     check(t_a, t_b)
-    # scalar times give a float
-    assert result.weights.a3(t_a[60], t_b[60]) == reference.a3(t_a[60], t_b[60])[0]
+    # scalar times give one row of four
+    k = 60
+    assert np.array_equal(result.weights.values(t_a[k], t_b[k]), reference.values(t_a[k:k + 1], t_b[k:k + 1])[0])
 
 
 def test_evaluate_gap_table():
@@ -420,7 +433,7 @@ def test_curve_table_columns_take_the_broadcast_grid_shape(t_a, t_b, shape):
             assert type(joint) is float
     assert joint_probabilities(KAON, ZERO, t_a, t_b).shape == grid + (4,)
     p, qm = fitting._tables(KAON, ZERO, t_a, t_b)
-    assert p.shape == shape + (4,) and qm.shape == shape
+    assert p.shape == grid + (4,) and np.shape(qm) == grid and isinstance(qm, float) == (grid == ())
 
 
 def test_evaluate_gap_matches_direct_weighted_sum():

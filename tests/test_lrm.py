@@ -394,27 +394,61 @@ def test_weight_validation():
         EfficiencyWeights.constant(-0.1, 0.5, 0.5, 0.5)
     with pytest.raises(WeightRangeError, match=r"; got nan$"):
         EfficiencyWeights.constant(0.5, float("nan"), 0.5, 0.5)
-    w = EfficiencyWeights(lambda ta, tb: 1.5, 0.0, 0.0, 0.0)
+    w = EfficiencyWeights(lambda ta, tb: np.array([1.5, 0.0, 0.0, 0.0]))
     with pytest.raises(WeightRangeError, match=r"; got 1\.5$"):
         w.values(1 / G, 2 / G)
-    w = EfficiencyWeights(0.5, lambda ta, tb: np.full(np.shape(ta), np.nan), 0.5, 0.5)
+
+    def nan_a2(ta, tb):
+        rows = np.full(np.shape(ta) + (4,), 0.5)
+        rows[..., 1] = np.nan
+        return rows
+
     with pytest.raises(WeightRangeError, match=r"; got nan$"):
-        w.values(np.array([1 / G, 2 / G]), 2 / G)
+        EfficiencyWeights(nan_a2).values(np.array([1 / G, 2 / G]), 2 / G)
+
+
+def test_weights_are_four_numbers_or_one_row_function():
+    def a1(ta, tb):
+        return np.exp(-G * np.asarray(ta))
+
+    message = r"^EfficiencyWeights takes four numbers a1\.\.a4 or one function rows\(t_a, t_b\)"
+    for weights in [(a1, a1, a1, a1), (a1, 1.0, 1.0, 1.0), (0.5, 0.5, a1, 0.5),
+                    (np.array([0.5, 0.5]), 0.5, 0.5, 0.5), (np.float64(0.5), 0.5, 0.5), ()]:
+        with pytest.raises(TypeError, match=message):
+            EfficiencyWeights(*weights)
+    # numpy and integer numbers are numbers, kept as four floats
+    w = EfficiencyWeights(np.float32(0.5), 1, np.float64(0.25), 0)
+    assert w.as_tuple() == (0.5, 1.0, 0.25, 0.0) and all(type(x) is float for x in w.as_tuple())
+    calls = []
+
+    def rows(ta, tb):
+        calls.append((ta, tb))
+        return np.stack(np.broadcast_arrays(a1(ta, tb), 1.0, 1.0, 1.0), axis=-1)
+
+    td = EfficiencyWeights(rows)
+    t_a = np.linspace(1.0, 2.0, 5) / G
+    for call in (lambda: td.values(t_a, 2 * t_a), lambda: lrm_like_joint(KAON, ZERO, td, t_a, 2 * t_a)):
+        calls.clear()
+        call()
+        assert len(calls) == 1
+    with pytest.raises(TypeError, match="time-dependent weights"):
+        td.as_tuple()
 
 
 @pytest.mark.parametrize("t_a, t_b, grid", [(1 / G, 2 / G, ()), (np.array([1 / G, 2 / G, 3 / G]), 4 / G, (3,))])
 def test_a_weight_that_does_not_fit_the_grid_is_named(t_a, t_b, grid):
-    # a callable returning two values at any times, as the third weight
-    weights = EfficiencyWeights(0.5, 0.5, lambda ta, tb: np.array([0.5, 0.5]), 0.5)
-    message = rf"^weight a3 has shape \(2,\), which does not broadcast to the time grid's shape {re.escape(str(grid))}$"
+    # a row function returning two rows at any times
+    weights = EfficiencyWeights(lambda ta, tb: np.full((2, 4), 0.5))
+    message = (rf"^weight rows have shape \(2, 4\), which does not broadcast to {re.escape(str(grid + (4,)))}, "
+               r"the time grid's shape plus a last axis of a1\.\.a4$")
     with pytest.raises(ValueError, match=message):
         lrm_like_joint(KAON, ZERO, weights, t_a, t_b)
     with pytest.raises(ValueError, match=message):
         weights.values(t_a, t_b)
-    # values that do fit the grid, one value for a whole axis included, are broadcast over it
+    # rows that do fit the grid, one value for a whole axis included, are broadcast over it
     uniform = lrm_like_joint(KAON, ZERO, EfficiencyWeights.uniform(0.5), t_a, t_b)
-    for shape in {grid, grid[:-1] + (1,)[:len(grid)]}:
-        fits = EfficiencyWeights(lambda ta, tb: np.full(shape, 0.5), 0.5, 0.5, 0.5)
+    for shape in {grid + (4,), grid[:-1] + (1,)[:len(grid)] + (4,), grid + (1,), (4,)}:
+        fits = EfficiencyWeights(lambda ta, tb: np.full(shape, 0.5))
         assert np.array_equal(lrm_like_joint(KAON, ZERO, fits, t_a, t_b), uniform)
 
 
@@ -422,10 +456,12 @@ def test_weight_values_and_total_efficiency():
     w = EfficiencyWeights.constant(1.0, 0.13, 0.03, 0.04)
     assert_allclose(w.values(0.0, 0.0), [1.0, 0.13, 0.03, 0.04], rtol=0)
     assert_allclose(w.total_efficiency(), 0.3, rtol=1e-15)
-    td = EfficiencyWeights(lambda ta, tb: np.exp(-G * ta), 0.5, 0.5, 0.5)
+    td = EfficiencyWeights(lambda ta, tb: np.stack(np.broadcast_arrays(np.exp(-G * ta), 0.5, 0.5, 0.5), axis=-1))
     vals = td.values(1 / G, 2 / G)
-    assert_allclose(vals[0], np.exp(-1.0), rtol=1e-15)
+    assert vals.shape == (4,)
+    assert_allclose(vals, [np.exp(-1.0), 0.5, 0.5, 0.5], rtol=1e-15)
     assert td.is_constant is False and w.is_constant is True
+    assert w.as_tuple() == (1.0, 0.13, 0.03, 0.04)
     # at array times, the per-point mean in the grid's shape; a float at two scalar times
     t_a = np.array([[1.0], [2.0]]) / G
     t_b = np.array([2.0, 3.0, 4.0]) / G
@@ -504,8 +540,11 @@ def test_lrm_like_joint_swap_symmetry_with_reversed_weights(params, rho, pairs, 
     t_a, t_b = _times(params, pairs)
     if per_point:
         funcs = [_per_point(scale, i) for i, scale in enumerate(a)]
-        w = EfficiencyWeights(*funcs)
-        w_rev = EfficiencyWeights(*(lambda x, y, f=f: f(y, x) for f in funcs[::-1]))
+
+        def f(x, y):
+            return np.stack(np.broadcast_arrays(*(column(x, y) for column in funcs)), axis=-1)
+
+        w, w_rev = EfficiencyWeights(f), EfficiencyWeights(lambda x, y: f(y, x)[..., ::-1])
     else:
         w, w_rev = EfficiencyWeights.constant(*a), EfficiencyWeights.constant(*a[::-1])
     try:

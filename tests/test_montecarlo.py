@@ -170,23 +170,23 @@ def test_tiny_negative_joints_are_outside_the_validity_domain():
 
 
 def test_time_dependent_weights_are_evaluated_at_the_config_times():
-    weights = EfficiencyWeights(lambda ta, tb: np.exp(-G * ta), 1.0, 1.0, 1.0)
+    weights = EfficiencyWeights(lambda ta, tb: np.array([np.exp(-G * ta), 1.0, 1.0, 1.0]))
     config = SimConfig(KAON, ZERO, weights, TimePair(1 / G, 2 / G), 200_000, 5)
     assert abs(simulate(config).acceptance_rates[0] - np.exp(-1.0)) < 0.01
 
 
 def test_time_dependent_weights_are_checked_at_the_config_times():
     # in range at t = 0, out of it at the config times (1/G, 2/G)
-    weights = EfficiencyWeights(lambda ta, tb: 1.0 + G * ta, 1.0, 1.0, 1.0)
+    weights = EfficiencyWeights(lambda ta, tb: np.array([1.0 + G * ta, 1.0, 1.0, 1.0]))
     weights.values(0.0, 0.0)
     with pytest.raises(WeightRangeError, match=r"; got 2\.0$"):
         simulate(SimConfig(KAON, ZERO, weights, TimePair(1 / G, 2 / G), 1000, 5))
 
 
 def test_a_weight_that_does_not_fit_the_time_pair_is_named():
-    weights = EfficiencyWeights(0.5, 0.5, lambda ta, tb: np.array([0.5, 0.5]), 0.5)
-    with pytest.raises(ValueError, match=r"^weight a3 has shape \(2,\), which does not broadcast "
-                                         r"to the time grid's shape \(\)$"):
+    weights = EfficiencyWeights(lambda ta, tb: np.full((2, 4), 0.5))
+    with pytest.raises(ValueError, match=r"^weight rows have shape \(2, 4\), which does not broadcast "
+                                         r"to \(4,\), the time grid's shape plus a last axis of a1\.\.a4$"):
         simulate(SimConfig(KAON, ZERO, weights, TimePair(1 / G, 2 / G), 1000, 5))
 
 
