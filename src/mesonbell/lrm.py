@@ -160,18 +160,24 @@ def survival(params: OscillationParams, which: str, t):
     raise ValueError(f"which must be 'short' or 'long', got {which!r}")
 
 
-def _q(params: OscillationParams, t, sign: float):
+def _q(params: OscillationParams, t, *signs: float):
     # 2 sqrt(E_L E_S) / (E_L + E_S) = sech((gamma_s - gamma_l) t / 2), written
     # with e^{-x} only so it stays finite where E_L and E_S both underflow; at
-    # equal widths it is exactly 2 / (1 + 1) = 1; in place for (2, m) rows (sign = +-1 is exact)
+    # equal widths it is exactly 2 / (1 + 1) = 1; elementwise, so (2, m) rows work.
+    # (1 + sign c) / 2 per sign (+1: Q+, -1: Q-) from one c = sech cos; -c is
+    # exact, so each has the bits of its own evaluation.  One sign: one array
     t = np.asarray(t, dtype=float)
     decay = np.exp(-0.5 * abs(params.gamma_s - params.gamma_l) * t)
-    q = 2.0 * decay
-    q /= 1.0 + decay * decay
-    q *= sign * np.cos(params.delta_m * t)
-    q += 1.0
-    q *= 0.5
-    return q
+    c = 2.0 * decay
+    c /= 1.0 + decay * decay
+    c *= np.cos(params.delta_m * t)
+    qs = []
+    for sign in signs:
+        q = sign * c
+        q += 1.0
+        q *= 0.5
+        qs.append(q)
+    return qs[0] if len(qs) == 1 else tuple(qs)
 
 
 def q_plus(params: OscillationParams, t):
@@ -196,8 +202,7 @@ def rho_bounds(params: OscillationParams, t):
     t = np.asarray(t, dtype=float)
     e_s = np.exp(-params.gamma_s * t)
     e_l = np.exp(-params.gamma_l * t)
-    qp = _q(params, t, +1.0)
-    qm = _q(params, t, -1.0)
+    qp, qm = _q(params, t, +1.0, -1.0)
     lower = np.maximum(-e_s * qp, -e_l * qm)
     upper = np.minimum(e_s * qm, e_l * qp)
     return lower, upper
@@ -292,17 +297,17 @@ class RhoProfile:
 
     def _fractions(self, params: OscillationParams, t):
         t = np.asarray(t, dtype=float)
+        if self.kind == "saturate_lower_short":
+            qp, qm = _q(params, t, +1.0, -1.0)
+            w2 = np.ones_like(qm)
+            w4 = qm - qp * np.exp(-(params.gamma_s - params.gamma_l) * t)
+            return w2, w4
         qm = _q(params, t, -1.0)
         if self.kind == "zero":
             return qm, qm
         if self.kind == "saturate_upper_short":
             w2 = np.zeros_like(qm)
             w4 = qm * (1.0 + np.exp(-(params.gamma_s - params.gamma_l) * t))
-            return w2, w4
-        if self.kind == "saturate_lower_short":
-            qp = _q(params, t, +1.0)
-            w2 = np.ones_like(qm)
-            w4 = qm - qp * np.exp(-(params.gamma_s - params.gamma_l) * t)
             return w2, w4
         rho = _interp_knots(self.knots, t)
         # rho = 0 scales to 0 also where e^{gamma t} overflows (0 * inf is nan)

@@ -24,6 +24,8 @@ of those events, and a shorter listing is a prefix of a longer one.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -149,11 +151,11 @@ def first_events(config: SimConfig, limit: int = 16) -> tuple[EventRecord, ...]:
         raise ValueError("limit must be a non-negative integer")
     gen = np.random.default_rng(config.seed)
     _, outcome, accepted = _draws(config, gen)
-    urn = np.stack([outcome - accepted, accepted], axis=2).ravel()     # cell 4 i + 2 like + accepted
+    urn = np.stack([outcome - accepted, accepted], axis=2).ravel().tolist()   # cell 4 i + 2 like + accepted
     records = []
     for _ in range(min(limit, config.n_events)):
         # the event drawn is the one at a uniform position among those left
-        cell = int(np.searchsorted(np.cumsum(urn), gen.integers(urn.sum()), side="right"))
+        cell = bisect.bisect_right(list(itertools.accumulate(urn)), gen.integers(sum(urn)))
         urn[cell] -= 1
         records.append(EventRecord(cell // 4 + 1, bool(cell & 2), bool(cell & 1)))
     return tuple(records)

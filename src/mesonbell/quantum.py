@@ -211,10 +211,12 @@ def integrated_ratio(
     It is returned when no provider is passed.  Passed providers, the quantum
     joints included, are integrated by adaptive cubature (the module's joint
     stands in for one left out) over the box
-    [0, 40/gamma_l]^2, which drops a tail of relative weight e^{-40}; the
-    box is split at 30/gamma_s on both axes so the short-lived corner gets
-    its own regions.  Each provider is called with whole arrays of times,
-    and the cubature makes at most 200 subdivisions.
+    [0, 40/gamma_l]^2, which drops a tail of relative weight e^{-40}.  For
+    unequal widths the box is split at 30/gamma_s on both axes so the
+    short-lived corner gets its own regions; at equal widths there is one
+    scale and no split.  Each provider is called with the cubature's nodes
+    as two C-contiguous 1-D float arrays of one shape, and the cubature
+    makes at most 200 subdivisions.
 
     ``rel_tol`` is the cubature's tolerance, which the closed form does not
     read.  The cubature raises ValueError unless it is finite and positive,
@@ -243,15 +245,21 @@ def integrated_ratio(
     unlike_joint = qm_unlike_joint if unlike_joint is None else unlike_joint
 
     def joints(t):
-        t_a, t_b = t[:, 0], t[:, 1]
-        like = np.broadcast_to(np.asarray(like_joint(params, t_a, t_b), dtype=float), t_a.shape)
-        unlike = np.broadcast_to(np.asarray(unlike_joint(params, t_a, t_b), dtype=float), t_a.shape)
-        return np.stack([like, unlike], axis=-1)
+        # the cubature's (n, 2) nodes as two contiguous rows, so the providers
+        # and their reductions read unit-stride arrays
+        t_a, t_b = np.ascontiguousarray(t.T)
+        out = np.empty((len(t), 2))
+        out[:, 0] = like_joint(params, t_a, t_b)
+        out[:, 1] = unlike_joint(params, t_a, t_b)
+        return out
 
+    # at equal widths there is no short-lived corner, and a split at 30/gamma_s
+    # would put three of the four first regions into the e^{-30} tail
     t_short = 30.0 / params.gamma_s
+    points = None if params.equal_widths else [(t_short, t_short)]
     # half of rel_tol per integral bounds the ratio's relative error by rel_tol
     res = integrate.cubature(joints, [0.0, 0.0], [t_max, t_max], rtol=0.5 * rel_tol, atol=0.0,
-                             max_subdivisions=_MAX_SUBDIVISIONS, points=[(t_short, t_short)])
+                             max_subdivisions=_MAX_SUBDIVISIONS, points=points)
     if res.status != "converged":
         raise QuadratureError(
             f"cubature did not converge within {_MAX_SUBDIVISIONS} subdivisions (rel_tol={rel_tol:g})"

@@ -139,6 +139,33 @@ def test_rho_bounds_quarter_period_structure():
     assert_allclose(up, e_min / 2, rtol=1e-12)
 
 
+def two_call_q(params, t, sign):
+    """Q+ or Q- as one evaluation per sign: (1 + sech * (sign cos)) / 2."""
+    decay = np.exp(-0.5 * abs(params.gamma_s - params.gamma_l) * t)
+    q = 2.0 * decay
+    q /= 1.0 + decay * decay
+    q *= sign * np.cos(params.delta_m * t)
+    q += 1.0
+    q *= 0.5
+    return q
+
+
+@pytest.mark.parametrize("params", (KAON, BMESON), ids=lambda p: p.species)
+def test_q_plus_and_minus_have_the_bits_of_one_evaluation_per_sign(params):
+    rng = np.random.default_rng(11)
+    t = np.concatenate([[0.0], rng.uniform(0.0, 40.0, 4000), rng.uniform(0.0, 2.0, 4000)]) / params.gamma_s
+    qp, qm = two_call_q(params, t, +1.0), two_call_q(params, t, -1.0)
+    assert q_plus(params, t).tobytes() == qp.tobytes()
+    assert q_minus(params, t).tobytes() == qm.tobytes()
+    e_s, e_l = np.exp(-params.gamma_s * t), np.exp(-params.gamma_l * t)
+    lo, up = rho_bounds(params, t)
+    assert lo.tobytes() == np.maximum(-e_s * qp, -e_l * qm).tobytes()
+    assert up.tobytes() == np.minimum(e_s * qm, e_l * qp).tobytes()
+    w2, w4 = SAT_LO._fractions(params, t)
+    assert w2.tobytes() == np.ones_like(t).tobytes()
+    assert w4.tobytes() == (qm - qp * np.exp(-(params.gamma_s - params.gamma_l) * t)).tobytes()
+
+
 def test_zero_profile_always_admissible():
     t = np.linspace(0.0, 50.0, 200) / G
     assert np.all(np.asarray(ZERO.value(KAON, t)) == 0.0)

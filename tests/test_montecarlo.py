@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
 
+from mesonbell import montecarlo
 from mesonbell.constants import BMESON, KAON
 from mesonbell.fitting import default_grid
 from mesonbell.lrm import EfficiencyWeights, RhoProfile, WeightRangeError, joint_probabilities, lrm_like_joint
-from mesonbell.montecarlo import SimConfig, first_events, simulate
+from mesonbell.montecarlo import EventRecord, SimConfig, first_events, simulate
 from mesonbell.quantum import TimePair
 
 G = KAON.gamma_s
@@ -156,6 +157,33 @@ def test_first_events_limit_validation():
         with pytest.raises(ValueError, match="limit must be a non-negative integer"):
             first_events(config, limit)
     assert first_events(config, np.int64(5)) == first_events(config, 5)
+
+
+def numpy_urn_records(config, limit):
+    """The record dealer as a cumsum/searchsorted per record over a numpy urn."""
+    gen = np.random.default_rng(config.seed)
+    _, outcome, accepted = montecarlo._draws(config, gen)
+    urn = np.stack([outcome - accepted, accepted], axis=2).ravel()
+    records = []
+    for _ in range(min(limit, config.n_events)):
+        cell = int(np.searchsorted(np.cumsum(urn), gen.integers(urn.sum()), side="right"))
+        urn[cell] -= 1
+        records.append(EventRecord(cell // 4 + 1, bool(cell & 2), bool(cell & 1)))
+    return tuple(records)
+
+
+@pytest.mark.parametrize("seed", (0, 7, 42))
+@pytest.mark.parametrize("limit", (0, 1, 16, 5_000))
+def test_first_events_equal_the_numpy_urn_dealer(seed, limit):
+    config = make_config(weights=(0.9, 0.3, 0.6, 0.1), seed=seed)
+    assert first_events(config, limit) == numpy_urn_records(config, limit)
+
+
+def test_exhausted_first_events_equal_the_numpy_urn_dealer():
+    config = make_config(weights=(0.9, 0.3, 0.6, 0.1), n_events=50, seed=7)
+    records = first_events(config, limit=64)
+    assert len(records) == 50
+    assert records == numpy_urn_records(config, 64)
 
 
 def test_tiny_negative_joints_are_outside_the_validity_domain():

@@ -309,12 +309,89 @@ def test_integrated_ratio_accepts_scalar_providers():
     assert_allclose(value, 2.0, rtol=1e-14)
 
 
-@pytest.mark.parametrize("params", SPECIES + (OscillationParams("probe", 30.0, 1.0, 10.0),),
+PROBE = OscillationParams("probe", 30.0, 1.0, 10.0)
+# one part in 1e7 apart: not equal widths, so the box keeps its corner split
+NEAR_EQUAL = OscillationParams("near_equal", 1e10, 1e10 * (1.0 - 1e-7), 0.7e10)
+STRONG_MIXING = OscillationParams("strong_mixing", 1e12, 1e12, 1e13)
+# equal widths from slow to fast mixing, x = delta_m / gamma
+EQUAL_WIDTHS = tuple(OscillationParams(f"equal_x{x:g}", 1e12, 1e12, x * 1e12)
+                     for x in (0.0, 0.01, 0.47, 1.0, 3.0))
+
+
+@pytest.mark.parametrize("params", SPECIES + (PROBE, NEAR_EQUAL, STRONG_MIXING) + EQUAL_WIDTHS,
                          ids=lambda p: p.species)
 def test_integrated_ratio_generic_path_matches_closed_form(params):
     rel_tol = 1e-8
     closed = integrated_ratio(params)
     assert_allclose(integrated_ratio(params, *QM_JOINTS, rel_tol=rel_tol), closed, rtol=rel_tol)
+
+
+@pytest.mark.parametrize("x", (28.0, 30.0))
+def test_integrated_ratio_equal_widths_fast_mixing_runs_out_of_subdivisions(x):
+    # equal widths, one unsplit box: fast mixing uses up the 200 subdivisions
+    params = OscillationParams("fast_mixing", 1e12, 1e12, x * 1e12)
+    with pytest.raises(QuadratureError, match="within 200 subdivisions"):
+        integrated_ratio(params, *QM_JOINTS)
+
+
+@pytest.mark.parametrize("params, points", [
+    (BMESON, None),
+    (STRONG_MIXING, None),
+    (KAON, [(30.0 / KAON.gamma_s,) * 2]),
+    (PROBE, [(1.0, 1.0)]),
+    (NEAR_EQUAL, [(30.0 / NEAR_EQUAL.gamma_s,) * 2]),
+], ids=("bmeson", "strong_mixing", "kaon", "probe", "near_equal"))
+def test_integrated_ratio_splits_the_box_only_for_two_widths(monkeypatch, params, points):
+    from scipy import integrate
+    seen = []
+    cubature = integrate.cubature
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs.get("points"))
+        return cubature(*args, **kwargs)
+
+    monkeypatch.setattr(integrate, "cubature", recording)
+    integrated_ratio(params, *QM_JOINTS)
+    assert seen == [points]
+
+
+@pytest.mark.parametrize("params", SPECIES + (PROBE,), ids=lambda p: p.species)
+def test_integrated_ratio_providers_get_contiguous_rows(params):
+    calls = []
+
+    def checked(joint):
+        def provider(p, t_a, t_b):
+            for t in (t_a, t_b):
+                assert isinstance(t, np.ndarray) and t.dtype == np.float64 and t.ndim == 1
+                assert t.flags.c_contiguous
+            assert t_a.shape == t_b.shape
+            calls.append(t_a.size)
+            return joint(p, t_a, t_b)
+        return provider
+
+    ratio = integrated_ratio(params, *map(checked, QM_JOINTS))
+    assert calls and ratio == integrated_ratio(params, *QM_JOINTS)
+
+
+def strided_column_ratio(params, rel_tol=1e-8):
+    """The provider cubature with the nodes handed over as strided columns."""
+    from scipy import integrate
+
+    def joints(t):
+        t_a, t_b = t[:, 0], t[:, 1]
+        return np.stack([qm_like_joint(params, t_a, t_b), qm_unlike_joint(params, t_a, t_b)], axis=-1)
+
+    t_max, t_short = 40.0 / params.gamma_l, 30.0 / params.gamma_s
+    res = integrate.cubature(joints, [0.0, 0.0], [t_max, t_max], rtol=0.5 * rel_tol, atol=0.0,
+                             max_subdivisions=200, points=[(t_short, t_short)])
+    assert res.status == "converged"
+    num, den = res.estimate
+    return float(num / den)
+
+
+@pytest.mark.parametrize("params", (KAON, PROBE), ids=lambda p: p.species)
+def test_integrated_ratio_two_widths_equal_a_strided_column_cubature(params):
+    assert integrated_ratio(params, *QM_JOINTS) == strided_column_ratio(params)
 
 
 def test_integrated_ratio_closed_form_special_cases(monkeypatch):
