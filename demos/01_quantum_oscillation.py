@@ -15,7 +15,7 @@ bmeson = mb.BMESON
 print("registry")
 for p in (kaon, bmeson):
     print(f"  {p.species:<8} gamma_s = {p.gamma_s:.4e} 1/s   gamma_l = {p.gamma_l:.4e} 1/s"
-          f"   delta_m = {p.delta_m:.4e} 1/s   x = {p.mixing_x:.4f}")
+          f"   delta_m = {p.delta_m:.4e} 1/s   x = {2 * p.delta_m / (p.gamma_s + p.gamma_l):.4f}")
 
 # like/unlike joints along the doubling ray t_b = 2 t_a
 print("\nkaon joints on t_b = 2 t_a (times in units of 1/gamma_s)")

@@ -32,7 +32,8 @@ import numpy as np
 # loops and array work release the interpreter lock
 _WORKERS = min(os.cpu_count() or 1, 8)
 # points per chunk, so the kernels' temporaries stay in the core's cache; on
-# a 2-core host 2^13 to 2^15 ran alike on one thread and 2^14 ran fastest on two
+# a 2-core host 2^13 to 2^15 ran within 7 % of each other on one thread, and
+# on two 2^14 beat 2^13 by 10-20 % (a 1e6 grid in 2^15 chunks starts no thread)
 _CHUNK = 1 << 14
 # chunks each thread must get before one more thread starts: a thread start
 # costs about a millisecond on a shared host, so grids under 2^19 points (the

@@ -459,7 +459,7 @@ class EfficiencyWeights:
 
     @classmethod
     def constant(cls, a1: float, a2: float, a3: float, a4: float) -> "EfficiencyWeights":
-        return cls(float(a1), float(a2), float(a3), float(a4))
+        return cls(a1, a2, a3, a4)
 
     @classmethod
     def uniform(cls, value: float) -> "EfficiencyWeights":

@@ -29,7 +29,7 @@ def test_bmeson_registry_values():
     assert b.gamma_l == 0.646e12
     assert b.delta_m == 0.472e12
     assert b.equal_widths
-    assert b.mixing_x == pytest.approx(0.472 / 0.646)
+    assert [f.name for f in dataclasses.fields(b)] == ["species", "gamma_s", "gamma_l", "delta_m"]
 
 
 def test_repeated_queries_identical():
@@ -74,22 +74,28 @@ def test_semileptonic_totals():
 
 
 def test_semileptonic_unknown_parent():
-    with pytest.raises(ValueError, match="no tagging channels"):
-        semileptonic_total("D0")
+    # None is no parent: it does not sum the tagging channels of every parent
+    for parent in ("D0", None):
+        with pytest.raises(ValueError, match="no tagging channels"):
+            semileptonic_total(parent)
 
 
 def test_branching_ratio_bounds():
     for rec in BRANCHING:
-        assert rec.ratio - rec.uncertainty >= 0.0
-        assert rec.ratio + rec.uncertainty <= 1.0
-    with pytest.raises(ValueError):
-        BranchingRecord("X", "ch", ratio=0.99, uncertainty=0.02)
-    with pytest.raises(ValueError):
-        BranchingRecord("X", "ch", ratio=1e-5, uncertainty=2e-5)
+        assert 0.0 <= rec.ratio <= 1.0
+    for ratio in (float("nan"), float("inf"), -float("inf"), -0.1, 1.1):
+        with pytest.raises(ValueError, match=r"^X ch: ratio .* is not in \[0, 1\]$"):
+            BranchingRecord("X", "ch", ratio)
+    # the bounds themselves are ratios
+    assert BranchingRecord("X", "ch", 0.0).ratio == 0.0
+    assert BranchingRecord("X", "ch", 1.0, tagging=False).ratio == 1.0
+    # tagging is keyword-only, so a fourth positional value cannot set it
+    with pytest.raises(TypeError):
+        BranchingRecord("X", "ch", 0.5, 0.0)
 
 
 def test_branching_records_filter():
-    parents = {r.parent for r in branching_records()}
+    parents = {r.parent for r in BRANCHING}
     assert parents == {"K_S", "K_L", "B0"}
     assert all(r.parent == "B0" for r in branching_records("B0"))
     assert len(branching_records("B0")) == 3

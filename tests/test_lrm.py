@@ -443,6 +443,9 @@ def test_weights_are_four_numbers_or_one_row_function():
                     (np.array([0.5, 0.5]), 0.5, 0.5, 0.5), (np.float64(0.5), 0.5, 0.5), ()]:
         with pytest.raises(TypeError, match=message):
             EfficiencyWeights(*weights)
+    # constant() takes what the constructor takes: a string is no number
+    with pytest.raises(TypeError, match=message):
+        EfficiencyWeights.constant("0.5", 1, 1, 1)
     # numpy and integer numbers are numbers, kept as four floats
     w = EfficiencyWeights(np.float32(0.5), 1, np.float64(0.25), 0)
     assert w.as_tuple() == (0.5, 1.0, 0.25, 0.0) and all(type(x) is float for x in w.as_tuple())
