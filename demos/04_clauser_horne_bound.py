@@ -31,5 +31,6 @@ for label, eff in (("K_S", mb.semileptonic_total("K_S")),
                    ("B0 (realistic tag)", mb.bell.EXPECTED_B_TAGGING_EFFICIENCY)):
     v_max = mb.threshold_check(eff, "maximal")
     v_non = mb.threshold_check(eff, "nonmaximal")
-    print(f"  {label:<18} {eff:8.4f}   vs 0.81: {v_max.verdict:<24} vs 0.67: {v_non.verdict}")
+    print(f"  {label:<18} {eff:8.4f}   vs {mb.EFFICIENCY_THRESHOLD_MAXIMAL:g}: {v_max.verdict:<24} "
+          f"vs {mb.EFFICIENCY_THRESHOLD_NONMAXIMAL:g}: {v_non.verdict}")
 print(f"  note: {mb.bell.NO_BACKGROUND_CAVEAT}")

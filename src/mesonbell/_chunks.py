@@ -4,11 +4,11 @@
 threads.  ``_on_chunks``, the one grid driver, checks the caller's times
 against the species' time domain, lays them out as a flat grid and hands it
 the fixed-size chunks, so every array entry point (``qm_like_joint``,
-``qm_unlike_joint``, ``joint_probabilities``, ``lrm_like_joint``,
-``p21_conditional``, ``p43_conditional``, the fitter's tables and
-``evaluate_gap``) is one call of it.  Each output element depends only on
-its own row, so the outputs are the same bits whatever the chunking or
-thread count.
+``qm_unlike_joint``, ``asymmetry``, ``joint_probabilities``,
+``lrm_like_joint``, ``p21_conditional``, ``p43_conditional``, the fitter's
+tables and ``evaluate_gap``) is one call of it.  Each output element
+depends only on its own row, so the outputs are the same bits whatever the
+chunking or thread count.
 
 The one code path serves one point and 10^6 alike, so its fixed cost is kept
 small: a one-value check compares Python floats (``_in_range``), one row of

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, bell
 from .bell import EXPECTED_B_TAGGING_EFFICIENCY, NO_BACKGROUND_CAVEAT, threshold_check
 from .constants import SPECIES, semileptonic_total, species_params
 from .fitting import OBJECTIVES, FitProblem, _objective_value, default_grid, evaluate_gap, fit_constant_weights
@@ -56,7 +56,7 @@ _TABULATED = ("'tabulated' takes its knots only from a --config object "
 
 class _Setting:
     """One scenario setting.  ``json_types`` holds the types a --config value may
-    take (none: flag only); with ``choices`` the first choice is the default."""
+    take; with ``choices`` the first choice is the default."""
 
     def __init__(self, help, json_types, commands=("curve", "fit", "mc"), default=None, type=str, choices=()):
         self.help, self.json_types, self.commands = help, json_types, commands
@@ -78,7 +78,7 @@ _SETTINGS = {
     "n_events": _Setting("Monte-Carlo sample size", (int,), ("mc",), default=1_000_000, type=int),
     "out": _Setting("output path for CSV ('-' for stdout)", (str,), ("curve", "fit")),
     "time_unit": _Setting("time axis unit for reports", (str,), choices=("gamma_s", "seconds")),
-    "objective": _Setting("fit objective", (), ("fit",), choices=OBJECTIVES),
+    "objective": _Setting("fit objective", (str,), ("fit",), choices=OBJECTIVES),
 }
 
 _FMT = "%.11e"  # 12 significant digits
@@ -160,7 +160,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise CliError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(file_values, dict):
             raise CliError(f"config file must hold a JSON object, got {type(file_values).__name__}")
-        unknown = [key for key in file_values if key not in _SETTINGS or not _SETTINGS[key].json_types]
+        unknown = [key for key in file_values if key not in _SETTINGS]
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
         for key, value in file_values.items():
@@ -279,7 +279,8 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
         ("B0 semileptonic total", semileptonic_total("B0")),
         ("B tagging efficiency", EXPECTED_B_TAGGING_EFFICIENCY),
     ]
-    print("efficiency source         value    vs 0.81 (maximal)        vs 0.67 (nonmaximal)")
+    print(f"efficiency source         value    vs {bell.EFFICIENCY_THRESHOLD_MAXIMAL:g} (maximal)        "
+          f"vs {bell.EFFICIENCY_THRESHOLD_NONMAXIMAL:g} (nonmaximal)")
     for label, eff in rows:
         v_max = threshold_check(eff, "maximal").verdict
         v_non = threshold_check(eff, "nonmaximal").verdict

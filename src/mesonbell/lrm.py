@@ -89,6 +89,7 @@ import numpy as np
 
 from ._chunks import _check_times, _in_range, _on_chunks
 from .constants import OscillationParams
+from .quantum import _oscillation
 
 __all__ = [
     "HiddenState",
@@ -161,16 +162,9 @@ def survival(params: OscillationParams, which: str, t):
 
 
 def _q(params: OscillationParams, t, *signs: float):
-    # 2 sqrt(E_L E_S) / (E_L + E_S) = sech((gamma_s - gamma_l) t / 2), written
-    # with e^{-x} only so it stays finite where E_L and E_S both underflow; at
-    # equal widths it is exactly 2 / (1 + 1) = 1; elementwise, so (2, m) rows work.
-    # (1 + sign c) / 2 per sign (+1: Q+, -1: Q-) from one c = sech cos; -c is
-    # exact, so each has the bits of its own evaluation.  One sign: one array
-    t = np.asarray(t, dtype=float)
-    decay = np.exp(-0.5 * abs(params.gamma_s - params.gamma_l) * t)
-    c = 2.0 * decay
-    c /= 1.0 + decay * decay
-    c *= np.cos(params.delta_m * t)
+    # (1 + sign c) / 2 per sign (+1: Q+, -1: Q-) from one c of quantum._oscillation;
+    # -c is exact, so each has the bits of its own evaluation.  One sign: one array
+    c = _oscillation(params, np.asarray(t, dtype=float))
     qs = []
     for sign in signs:
         q = sign * c
@@ -278,16 +272,19 @@ class RhoProfile:
         """rho(t), checked against both bound pairs at every evaluated time."""
         _check_times(params, t)
         t = np.asarray(t, dtype=float)
-        if self.kind == "zero":
-            rho = np.zeros_like(t)
-        elif self.kind == "saturate_upper_short":
-            rho = np.exp(-params.gamma_s * t) * _q(params, t, -1.0)
-        elif self.kind == "saturate_lower_short":
-            rho = -np.exp(-params.gamma_s * t) * _q(params, t, +1.0)
-        else:
-            rho = _interp_knots(self.knots, t)
+        rho = self._rho(params, t)
         self._check_fractions(params, t[np.newaxis])
         return rho if rho.ndim else float(rho)
+
+    def _rho(self, params: OscillationParams, t: np.ndarray) -> np.ndarray:
+        """rho(t) of the kind, unchecked."""
+        if self.kind == "zero":
+            return np.zeros_like(t)
+        if self.kind == "saturate_upper_short":
+            return np.exp(-params.gamma_s * t) * _q(params, t, -1.0)
+        if self.kind == "saturate_lower_short":
+            return -np.exp(-params.gamma_s * t) * _q(params, t, +1.0)
+        return _interp_knots(self.knots, t)
 
     # -- flip fractions ----------------------------------------------------
     #
@@ -329,9 +326,8 @@ class RhoProfile:
             bad = ~((w2 >= lo) & (w2 <= hi) & (w4 >= lo) & (w4 <= hi))
             t_bad = float(np.moveaxis(t, 0, -1)[np.moveaxis(bad, 0, -1)][0])
             lo, up = rho_bounds(params, t_bad)
-            raise InadmissibleRhoError(
-                t_bad, f"value outside [{float(lo):.6e}, {float(up):.6e}]"
-            )
+            rho = float(self._rho(params, np.asarray(t_bad)))
+            raise InadmissibleRhoError(t_bad, f"value {rho:.6e} outside [{float(lo):.6e}, {float(up):.6e}]")
         return w2, w4
 
 

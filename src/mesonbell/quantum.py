@@ -34,10 +34,15 @@ bit for bit under ta <-> tb.  No factor grows with time, so late times
 underflow to 0 instead of overflowing.  Equal widths need no separate form:
 the first term vanishes and P_like = (1/2) e^{-gamma (ta + tb)} sin^2(...).
 
+The flavor asymmetry (P_like - P_unlike) / (P_like + P_unlike) depends on dt
+alone, A = -c(dt) = Q-(dt) - Q+(dt) with c(t) = sech((gamma_s - gamma_l) t/2)
+cos(delta_m t), and ``mesonbell.lrm``'s oscillation weights Q+- = (1 +- c)/2
+read the same c (``_oscillation``); no ratio of underflowing joints is formed.
+
 All functions are pure and accept scalars or numpy arrays for the times.
-``qm_like_joint`` and ``qm_unlike_joint`` give an array of the times'
-broadcast shape, or a float at two scalar times; each is one call of the
-grid driver of ``mesonbell._chunks``, so the values are the same bits
+``qm_like_joint``, ``qm_unlike_joint`` and ``asymmetry`` give an array of the
+times' broadcast shape, or a float at two scalar times; each is one call of
+the grid driver of ``mesonbell._chunks``, so the values are the same bits
 whatever the chunking or thread count.
 CP violation in the weak interactions is neglected throughout.
 
@@ -70,10 +75,6 @@ __all__ = [
     "asymmetry",
     "integrated_ratio",
 ]
-
-# Both joints below this absolute floor make the asymmetry denominator
-# meaningless (pure underflow noise).
-DENOMINATOR_FLOOR = 1e-300
 
 # (params, t_a, t_b) -> joint probability; t_a and t_b may be equal-shape
 # arrays, and the result is an array of that shape or a scalar.
@@ -135,14 +136,12 @@ def qm_like_joint(params: OscillationParams, t_a, t_b):
     Exactly 0.0 at t_a = t_b: the antisymmetric state is perfectly
     anti-correlated at equal proper times.
     """
-    _, _, like = _on_chunks(partial(_joint, params, np.sin), params, t_a, t_b, ())
-    return like
+    return _on_chunks(partial(_joint, params, np.sin), params, t_a, t_b, ())[2]
 
 
 def qm_unlike_joint(params: OscillationParams, t_a, t_b):
     """Probability of tagging opposite flavors at (t_a, t_b)."""
-    _, _, unlike = _on_chunks(partial(_joint, params, np.cos), params, t_a, t_b, ())
-    return unlike
+    return _on_chunks(partial(_joint, params, np.cos), params, t_a, t_b, ())[2]
 
 
 def qm_flavor_table(params: OscillationParams, t_a: float, t_b: float) -> dict[FlavorOutcome, float]:
@@ -161,26 +160,29 @@ def qm_flavor_table(params: OscillationParams, t_a: float, t_b: float) -> dict[F
     }
 
 
-def asymmetry(
-    params: OscillationParams,
-    t_a,
-    t_b,
-    like_joint: JointProvider = qm_like_joint,
-    unlike_joint: JointProvider = qm_unlike_joint,
-):
+def _oscillation(params: OscillationParams, t):
+    """c(t) = sech((gamma_s - gamma_l) t / 2) cos(delta_m t), elementwise, so (2, m) rows work.
+
+    The sech is 2 e^{-x} / (1 + e^{-2x}): finite where both survival factors
+    underflow, at most 1 in floating point, and exactly 1 at equal widths."""
+    decay = np.exp(-0.5 * (params.gamma_s - params.gamma_l) * t)
+    c = 2.0 * decay
+    c /= 1.0 + decay * decay
+    c *= np.cos(params.delta_m * t)
+    return c
+
+
+def asymmetry(params: OscillationParams, t_a, t_b):
     """Flavor asymmetry (P_like - P_unlike) / (P_like + P_unlike) in [-1, 1].
 
-    Any joint-probability providers with the same signature may be supplied,
-    so the identical observable can be evaluated for alternative models.
-    """
-    like = np.asarray(like_joint(params, t_a, t_b), dtype=float)
-    unlike = np.asarray(unlike_joint(params, t_a, t_b), dtype=float)
-    if np.any((np.abs(like) < DENOMINATOR_FLOOR) & (np.abs(unlike) < DENOMINATOR_FLOOR)):
-        raise ZeroDivisionError(
-            f"asymmetry denominator degenerate: both joints below {DENOMINATOR_FLOOR:g}"
-        )
-    out = (like - unlike) / (like + unlike)
-    return out if out.ndim else float(out)
+    The closed form -c(|t_b - t_a|) of the module docstring: exactly -1.0 at
+    t_a = t_b, never -0.0, the same bits under t_a <-> t_b, and a value
+    wherever both joints underflow."""
+    def kernel(t_a, t_b, out):
+        # 0 - c, not -c: a c of +0.0 gives +0.0, never -0.0
+        np.subtract(0.0, _oscillation(params, np.abs(t_b - t_a)), out=out)
+
+    return _on_chunks(kernel, params, t_a, t_b, ())[2]
 
 
 # Subdivisions the cubature of user-supplied providers may make before it gives up.

@@ -181,6 +181,19 @@ def test_unknown_preset_is_single_line_error(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_config_sets_the_objective_as_the_flag_does(tmp_path, capsys):
+    path = tmp_path / "objective.json"
+    path.write_text(json.dumps({"objective": "underbound_qm"}))
+    argv = ["fit", "--preset", "fig3", "--eta", "0.3", "--grid", "0.2:5:40", "--out", "-"]
+    flagged = run(capsys, *argv, "--objective", "underbound_qm")
+    assert flagged[0] == 0 and "objective       = underbound_qm" in flagged[1]
+    assert run(capsys, *argv, "--config", str(path)) == flagged
+    path.write_text(json.dumps({"objective": "foo"}))
+    code, out, err = run(capsys, *argv, "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: config value 'objective' must be one of {OBJECTIVES}, got 'foo'\n"
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"species": "kaon", "flavor": "up"}))
@@ -270,6 +283,7 @@ _PLAUSIBLE = {
     "seed": st.integers(-2, 2**40),
     "n_events": st.integers(-2, 2000),
     "time_unit": st.sampled_from(["gamma_s", "seconds", "days"]),
+    "objective": st.sampled_from([*OBJECTIVES, "foo"]),
     # never an arbitrary string: the value is a path the command writes to
     "out": st.just("-") | _JSON.filter(lambda v: not isinstance(v, str)),
 }
@@ -302,6 +316,10 @@ def test_inadmissible_rho_propagates_with_time(capsys):
     code, _, err = run(capsys, "curve", "--species", "bmeson", "--rho", "saturate_upper_short")
     assert code == 1
     assert "error:" in err and "inadmissible at t=" in err
+    code, out, err = run(capsys, "mc", "--grid", "0:0:1", "--rho", "saturate_lower_short")
+    assert (code, out) == (1, "")
+    assert err == ("error: InadmissibleRhoError: rho profile inadmissible at t=0.0 s: "
+                   "value -1.000000e+00 outside [-0.000000e+00, 0.000000e+00]\n")
 
 
 def test_unwritable_path_fails_cleanly(tmp_path, capsys):
@@ -352,6 +370,23 @@ def test_fit_writes_gap_csv(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "t_a,qm,lrm,p1,p2,p3,p4,gap"
     assert len(lines) == 31
+
+
+def test_thresholds_follow_the_library_constants(monkeypatch, capsys):
+    # 0.3298 (K_L) and 0.4500 (B tagging) now sit between the two thresholds
+    monkeypatch.setattr("mesonbell.bell.EFFICIENCY_THRESHOLD_MAXIMAL", 0.4)
+    monkeypatch.setattr("mesonbell.bell.EFFICIENCY_THRESHOLD_NONMAXIMAL", 0.25)
+    code, out, _ = run(capsys, "thresholds")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "efficiency source         value    vs 0.4 (maximal)        vs 0.25 (nonmaximal)"
+    verdicts = {line[:25].strip(): line[35:].split() for line in lines[1:5]}
+    assert verdicts == {
+        "K_L semileptonic total": ["detection_loophole", "loophole_free_possible"],
+        "K_S semileptonic total": ["detection_loophole", "detection_loophole"],
+        "B0 semileptonic total": ["detection_loophole", "detection_loophole"],
+        "B tagging efficiency": ["loophole_free_possible", "loophole_free_possible"],
+    }
 
 
 def test_thresholds_report(capsys):

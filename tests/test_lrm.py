@@ -184,6 +184,11 @@ def test_saturate_lower_inadmissible_at_small_times():
     with pytest.raises(InadmissibleRhoError) as err:
         SAT_LO.value(KAON, 1 / G)
     assert err.value.t == 1 / G
+    # the message names the rejected value beside the bounds: rho(0) = -1 against [0, 0]
+    with pytest.raises(InadmissibleRhoError) as err:
+        SAT_LO.value(KAON, 0.0)
+    assert str(err.value) == ("rho profile inadmissible at t=0.0 s: "
+                              "value -1.000000e+00 outside [-0.000000e+00, 0.000000e+00]")
     # beyond the crossing the same profile becomes admissible
     assert SAT_LO.value(KAON, 3 / G) == pytest.approx(
         -float(survival(KAON, "short", 3 / G) * q_plus(KAON, 3 / G)))

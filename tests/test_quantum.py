@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from mesonbell import quantum
 from mesonbell.constants import BMESON, KAON, OscillationParams
@@ -230,18 +231,47 @@ def test_asymmetry_limits():
     assert_allclose(asymmetry(BMESON, t, t + 0.5 * np.pi / dm), 0.0, atol=1e-12)
 
 
-def test_asymmetry_accepts_providers():
-    # constant providers: like twice the unlike rate gives 1/3
-    value = asymmetry(BMESON, 1e-12, 2e-12,
-                      like_joint=lambda p, ta, tb: 0.2,
-                      unlike_joint=lambda p, ta, tb: 0.1)
-    assert_allclose(value, 1.0 / 3.0, rtol=1e-14)
-
-
 def test_asymmetry_degenerate_denominator():
-    t = 800.0 / BMESON.gamma_s  # both joints underflow to ~e^-1600
-    with pytest.raises(ZeroDivisionError, match="degenerate"):
-        asymmetry(BMESON, t, t + 1e-15)
+    # both joints underflow to ~e^-1600 here, and A is still its closed form
+    t = 800.0 / BMESON.gamma_s
+    dt = (t + 1e-15) - t
+    value = asymmetry(BMESON, t, t + 1e-15)
+    assert value == -np.cos(BMESON.delta_m * dt)
+    assert -1.0 < value < -0.9999998
+    # where the sech underflows A is 0.0 whatever the sign of the cosine, never -0.0
+    values = asymmetry(KAON, 0.0, np.linspace(1500.0, 1600.0, 50) / KAON.gamma_s)
+    assert np.all(values == 0.0) and not np.any(np.signbit(values))
+
+
+def mp_asymmetry(params, t_a, t_b):
+    """-cos(delta_m dt) / cosh((gamma_s - gamma_l) dt / 2) at 50 digits."""
+    import mpmath as mp
+    with mp.workdps(50):
+        dt = abs(mp.mpf(t_b) - mp.mpf(t_a))
+        half_split = (mp.mpf(params.gamma_s) - mp.mpf(params.gamma_l)) / 2
+        return float(-mp.cos(mp.mpf(params.delta_m) * dt) / mp.cosh(half_split * dt))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gamma_s=st.floats(0.0, 14.0).map(lambda e: 10.0 ** e),
+       width_ratio=st.floats(-8.0, 0.0).map(lambda e: 10.0 ** e),
+       mixing=st.one_of(st.just(0.0), st.floats(-6.0, 3.0).map(lambda e: 10.0 ** e)),
+       a=st.floats(0.0, 1e3), step=st.floats(-1.0, 1.0))
+def test_asymmetry_is_its_closed_form_over_the_domain(gamma_s, width_ratio, mixing, a, step):
+    # gamma_s t <= 1e3 and delta_m |t_b - t_a| <= 50
+    params = OscillationParams("probe", gamma_s=gamma_s, gamma_l=gamma_s * width_ratio,
+                               delta_m=gamma_s * mixing)
+    t_max = 1e3 / gamma_s
+    t_a = a / gamma_s
+    span = t_max if mixing == 0.0 else min(t_max, 50.0 / params.delta_m)
+    t_b = min(max(t_a + step * span, 0.0), t_max)
+    value = asymmetry(params, t_a, t_b)
+    assert abs(value - mp_asymmetry(params, t_a, t_b)) <= 1e-14
+    assert -1.0 <= value <= 1.0
+    assert value != 0.0 or math.copysign(1.0, value) == 1.0
+    assert asymmetry(params, t_b, t_a) == value
+    assert asymmetry(params, t_a, t_a) == -1.0
+    assert_array_equal(asymmetry(params, np.array([t_a, t_b]), np.array([t_b, t_a])), [value, value])
 
 
 def laplace_ratio(params):
@@ -307,6 +337,14 @@ def test_integrated_ratio_accepts_scalar_providers():
     # constant providers: the ratio of the integrals is the ratio of the constants
     value = integrated_ratio(BMESON, lambda p, ta, tb: 0.2, lambda p, ta, tb: 0.1)
     assert_allclose(value, 2.0, rtol=1e-14)
+
+
+def test_integrated_ratio_rejects_an_unlike_integral_that_is_not_positive():
+    def negated_unlike(p, t_a, t_b):
+        return -qm_unlike_joint(p, t_a, t_b)
+
+    with pytest.raises(QuadratureError, match="^unlike-flavor integral is not positive$"):
+        integrated_ratio(BMESON, qm_like_joint, negated_unlike)
 
 
 PROBE = OscillationParams("probe", 30.0, 1.0, 10.0)
