@@ -154,7 +154,6 @@ class ThresholdVerdict:
     efficiency: float
     threshold: float
     state: str                  # "maximal" | "nonmaximal"
-    caveat: str = NO_BACKGROUND_CAVEAT
 
     @property
     def loophole_free_possible(self) -> bool:

@@ -56,6 +56,7 @@ class OscillationParams:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, float(value))    # a numpy scalar warns in _max_time
         if self.gamma_s <= 0.0 or self.gamma_l <= 0.0:
             raise ValueError("decay rates must be strictly positive")
         if self.gamma_s < self.gamma_l:

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator
 
 import numpy as np
 
@@ -139,8 +138,9 @@ class FitResult:
 class TrivialWeightsResult:
     """Pointwise a_i = QM / P_i weights plus the feasibility diagnostics.
 
-    ``raw_ratios`` holds the unclipped ratios on the problem grid (0 where
-    P_i has no support); the returned weight rows clip them into [0, 1].
+    Rows follow the grid of the ``problem`` passed, which gives their times.
+    ``raw_ratios`` holds the unclipped ratios (0 where P_i has no support);
+    the returned weight rows clip them into [0, 1].
     Points where any ratio had to be clipped are flagged in ``capped`` and
     the exact-reproduction guarantee is lost there, which is why they are
     excluded from ``feasible``.  ``pointwise_eta`` is the mean of the four
@@ -149,17 +149,11 @@ class TrivialWeightsResult:
     """
 
     weights: EfficiencyWeights
-    grid_t_a: np.ndarray
-    grid_t_b: np.ndarray
     raw_ratios: np.ndarray          # (n, 4)
     supported: np.ndarray           # (n, 4) bool, P_i > SUPPORT_FLOOR
     capped: np.ndarray              # (n,) bool, some ratio fell outside [0, 1]
     feasible: np.ndarray            # (n,) bool, exact reproduction holds
     pointwise_eta: np.ndarray       # (n,)
-
-    def capped_points(self) -> Iterator[tuple[float, float, np.ndarray]]:
-        for k in np.flatnonzero(self.capped):
-            yield float(self.grid_t_a[k]), float(self.grid_t_b[k]), self.raw_ratios[k]
 
 
 def _trivial_ratio_table(params, rho, t_a, t_b):
@@ -191,8 +185,6 @@ def trivial_weights(problem: FitProblem) -> TrivialWeightsResult:
         lambda t_a, t_b: np.clip(_trivial_ratio_table(params, rho, t_a, t_b)[0], 0.0, 1.0))
     return TrivialWeightsResult(
         weights=weights,
-        grid_t_a=problem.grid_t_a,
-        grid_t_b=problem.grid_t_b,
         raw_ratios=ratios,
         supported=supported,
         capped=capped,

@@ -331,17 +331,17 @@ class RhoProfile:
         return w2, w4
 
 
-def _increments(params: OscillationParams, rho: RhoProfile, t_a, t_b, branches=(0, 1)):
-    """Flip fractions (w2, w4) at t_a, then the flips within (t_a, t_b] of the branches asked for.
+def _increments(params: OscillationParams, rho: RhoProfile, t_a, t_b):
+    """Flip fractions (w2, w4) at t_a, then the flips p21, p43 within (t_a, t_b].
 
-    Branch 0 is p21 and branch 1 is p43.  The callers have already checked
-    the times.  One pass over their (2, m) rows gives the fractions at both;
-    an inadmissible rho raises at the first offending pair, t_a before t_b.
+    The callers have already checked the times.  One pass over their (2, m)
+    rows gives the fractions at both; an inadmissible rho raises at the first
+    offending pair, t_a before t_b.
     """
     at_a, at_b = zip(*rho._check_fractions(params, np.stack((t_a, t_b))))
     dt = t_b - t_a
     gammas = (params.gamma_s, params.gamma_l)
-    return (*at_a, *(np.exp(-gammas[k] * dt) * (at_b[k] - at_a[k]) for k in branches))
+    return (*at_a, *(np.exp(-g * dt) * (b - a) for g, a, b in zip(gammas, at_a, at_b)))
 
 
 def _conditional(params: OscillationParams, rho: RhoProfile, branch: int, t_a, t_b):
@@ -352,7 +352,7 @@ def _conditional(params: OscillationParams, rho: RhoProfile, branch: int, t_a, t
             first = disordered.argmax()     # the pairs before it raise first
             _increments(params, rho, t_a[:first], t_b[:first])
             raise TimeOrderingError("conditional flips require t_a <= t_b")
-        out[:] = _increments(params, rho, t_a, t_b, (branch,))[2]
+        out[:] = _increments(params, rho, t_a, t_b)[2 + branch]
 
     return _on_chunks(kernel, params, t_a, t_b, ())[2]
 

@@ -47,8 +47,8 @@ whatever the chunking or thread count.
 CP violation in the weak interactions is neglected throughout.
 
 The time-integrated like/unlike ratio of these joints has a closed form;
-adaptive cubature (scipy, imported on first use) runs only when joint
-providers are passed.
+adaptive cubature (scipy, imported on first use) runs only when a pair of
+joint providers is passed.
 """
 
 from __future__ import annotations
@@ -210,15 +210,14 @@ def integrated_ratio(
     free of the cancellation in (1/(gamma_s gamma_l) - 1/(G^2 + delta_m^2));
     for equal widths it is x^2 / (2 + x^2) with x = delta_m / gamma.
 
-    It is returned when no provider is passed.  Passed providers, the quantum
-    joints included, are integrated by adaptive cubature (the module's joint
-    stands in for one left out) over the box
-    [0, 40/gamma_l]^2, which drops a tail of relative weight e^{-40}.  For
-    unequal widths the box is split at 30/gamma_s on both axes so the
-    short-lived corner gets its own regions; at equal widths there is one
-    scale and no split.  Each provider is called with the cubature's nodes
-    as two C-contiguous 1-D float arrays of one shape, and the cubature
-    makes at most 200 subdivisions.
+    It is returned when no provider is passed; one provider alone raises
+    TypeError.  A pair of providers, the quantum joints included, is
+    integrated by adaptive cubature over the box [0, 40/gamma_l]^2, which
+    drops a tail of relative weight e^{-40}.  For unequal widths the box is
+    split at 30/gamma_s on both axes so the short-lived corner gets its own
+    regions; at equal widths there is one scale and no split.  Each provider
+    is called with the cubature's nodes as two C-contiguous 1-D float arrays
+    of one shape, and the cubature makes at most 200 subdivisions.
 
     ``rel_tol`` is the cubature's tolerance, which the closed form does not
     read.  The cubature raises ValueError unless it is finite and positive,
@@ -234,6 +233,8 @@ def integrated_ratio(
         numerator = half_split * half_split + x * x
         return numerator / (numerator + 2.0 * width_ratio)
 
+    if like_joint is None or unlike_joint is None:
+        raise TypeError("integrated_ratio takes both joint providers or neither")
     if not 0.0 < rel_tol < math.inf:
         raise ValueError(f"rel_tol must be finite and positive, got {rel_tol!r}")
     t_max = 40.0 / params.gamma_l
@@ -242,9 +243,6 @@ def integrated_ratio(
                               "beyond the largest float")
 
     from scipy import integrate
-
-    like_joint = qm_like_joint if like_joint is None else like_joint
-    unlike_joint = qm_unlike_joint if unlike_joint is None else unlike_joint
 
     def joints(t):
         # the cubature's (n, 2) nodes as two contiguous rows, so the providers

@@ -215,7 +215,9 @@ def test_criterion_07_bmeson_consistency_and_integrated_ratio():
 
     x = dm / g
     expected = x * x / (2.0 + x * x)
-    ratio = mb.integrated_ratio(BMESON)
+    # the closed form against the library's cubature over the quantum joints
+    joints = (mb.qm_like_joint, mb.qm_unlike_joint)
+    ratio = mb.integrated_ratio(BMESON, *joints, rel_tol=1e-6)
     registry_dev = abs(ratio / expected - 1.0)
     registry_ok = registry_dev < 1e-6 and abs(ratio - 0.2107) < 2e-4
 
@@ -226,7 +228,7 @@ def test_criterion_07_bmeson_consistency_and_integrated_ratio():
         x_syn = 10 ** rng.uniform(-1, 1)
         params = mb.OscillationParams("bmeson", gamma_s=gamma, gamma_l=gamma,
                                       delta_m=x_syn * gamma)
-        r = mb.integrated_ratio(params, rel_tol=1e-6)
+        r = mb.integrated_ratio(params, *joints, rel_tol=1e-6)
         closed = x_syn * x_syn / (2.0 + x_syn * x_syn)
         worst_syn = max(worst_syn, abs(r / closed - 1.0))
     synthetic_ok = worst_syn < 1e-6

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from mesonbell.bell import (
     EFFICIENCY_THRESHOLD_MAXIMAL,
     EFFICIENCY_THRESHOLD_NONMAXIMAL,
-    NO_BACKGROUND_CAVEAT,
     CorrelationSet,
     LocalStrategy,
     all_deterministic_strategies,
@@ -105,7 +104,6 @@ def test_threshold_constants():
 def test_threshold_verdicts(eff, state, expected):
     verdict = threshold_check(eff, state)
     assert verdict.verdict == expected
-    assert verdict.caveat == NO_BACKGROUND_CAVEAT
     assert verdict.efficiency == eff
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from mesonbell.constants import (
@@ -12,6 +13,7 @@ from mesonbell.constants import (
     semileptonic_total,
     species_params,
 )
+from mesonbell.quantum import qm_like_joint
 
 
 def test_kaon_registry_values():
@@ -63,6 +65,21 @@ def test_params_validation():
     with pytest.raises(ValueError, match="gamma_s must be >= gamma_l"):
         dataclasses.replace(KAON, gamma_l=2.0e10)
     assert KAON.gamma_l == 1.934e7
+
+
+@pytest.mark.parametrize("rates", [(1e10, 1e9, 1e9), (1.1192e10, 1.934e7, 0.53e10), (30.0, 1.0, 10.0)])
+def test_params_from_numpy_floats_equal_the_python_float_species(rates):
+    # numpy scalars are stored as Python floats: under -W error their products
+    # in _max_time raised RuntimeWarning (overflow) from the constructor
+    from_numpy = OscillationParams("p", *map(np.float64, rates))
+    plain = OscillationParams("p", *rates)
+    for name in ("gamma_s", "gamma_l", "delta_m", "_max_time"):
+        value = getattr(from_numpy, name)
+        assert type(value) is float and value.hex() == getattr(plain, name).hex()
+    t_a, t_b = 0.3 / rates[0], 0.7 / rates[0]
+    assert float(qm_like_joint(from_numpy, t_a, t_b)).hex() == float(qm_like_joint(plain, t_a, t_b)).hex()
+    with pytest.raises(TypeError):
+        OscillationParams("p", "1.0", 1.0, 1.0)
 
 
 def test_semileptonic_totals():

@@ -176,11 +176,9 @@ def test_trivial_weights_kaon_is_capped_everywhere():
     result = trivial_weights(problem)
     assert result.feasible.sum() == 0
     assert result.capped.sum() > 0
-    capped = list(result.capped_points())
-    assert len(capped) == int(result.capped.sum())
-    t_a, t_b, ratios = capped[0]
-    assert t_b == pytest.approx(2 * t_a)
-    assert np.max(ratios) > 1.0
+    k = np.flatnonzero(result.capped)[0]
+    assert problem.grid_t_b[k] == pytest.approx(2 * problem.grid_t_a[k])
+    assert np.max(result.raw_ratios[k]) > 1.0
 
 
 def test_trivial_weights_zero_support_rescaling():

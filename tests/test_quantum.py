@@ -307,13 +307,10 @@ def test_integrated_ratio_strong_mixing():
 
 
 def test_integrated_ratio_nonconvergence_raises(monkeypatch):
-    # any provider passed, the quantum joints included, goes to the cubature;
-    # a provider left out is the module's joint
+    # a provider pair, the quantum joints included, goes to the cubature
     monkeypatch.setattr(quantum, "_MAX_SUBDIVISIONS", 1)
-    for providers in ({"like_joint": qm_like_joint, "unlike_joint": qm_unlike_joint},
-                      {"like_joint": qm_like_joint}, {"unlike_joint": qm_unlike_joint}):
-        with pytest.raises(QuadratureError, match="within 1 subdivisions"):
-            integrated_ratio(KAON, **providers)
+    with pytest.raises(QuadratureError, match="within 1 subdivisions"):
+        integrated_ratio(KAON, like_joint=qm_like_joint, unlike_joint=qm_unlike_joint)
     # a box edge 40/gamma_l = 4e291 s whose square overflows is named before
     # any cubature (which returned nan with warnings); the closed form gives 1.0
     params = OscillationParams("x", gamma_s=1e10, gamma_l=1e-290, delta_m=1e10)
@@ -326,11 +323,22 @@ def test_integrated_ratio_nonconvergence_raises(monkeypatch):
 def test_integrated_ratio_rejects_a_rel_tol_that_is_not_finite_and_positive(monkeypatch, rel_tol):
     # raised before any cubature: one subdivision would fail with QuadratureError
     monkeypatch.setattr(quantum, "_MAX_SUBDIVISIONS", 1)
-    for providers in (QM_JOINTS, (qm_like_joint,), (None, qm_unlike_joint)):
-        with pytest.raises(ValueError, match=r"^rel_tol must be finite and positive, got "):
-            integrated_ratio(BMESON, *providers, rel_tol=rel_tol)
+    with pytest.raises(ValueError, match=r"^rel_tol must be finite and positive, got "):
+        integrated_ratio(BMESON, *QM_JOINTS, rel_tol=rel_tol)
     # the closed form does not read it
     assert integrated_ratio(BMESON, rel_tol=rel_tol) == integrated_ratio(BMESON)
+
+
+def test_integrated_ratio_takes_both_providers_or_neither(monkeypatch):
+    # a lone provider is refused before any cubature, whatever its rel_tol
+    monkeypatch.setattr(quantum, "_MAX_SUBDIVISIONS", 1)
+    for call in (lambda: integrated_ratio(BMESON, qm_like_joint),
+                 lambda: integrated_ratio(BMESON, like_joint=qm_like_joint, rel_tol=float("nan")),
+                 lambda: integrated_ratio(BMESON, unlike_joint=qm_unlike_joint),
+                 lambda: integrated_ratio(KAON, None, qm_unlike_joint),
+                 lambda: integrated_ratio(KAON, qm_like_joint, unlike_joint=None)):
+        with pytest.raises(TypeError, match=r"^integrated_ratio takes both joint providers or neither$"):
+            call()
 
 
 def test_integrated_ratio_accepts_scalar_providers():

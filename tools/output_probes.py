@@ -19,12 +19,20 @@ runs made on one host.  Uses the standard library only.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 PRESETS = ("fig1", "fig2-text", "fig2-caption", "fig3", "fig4")
+
+# A config with a tabulated rho, written to a temporary file for each run; the
+# probes name it by this file name, so labels do not depend on where it lives.
+CONFIG = "tabulated_rho.json"
+TABULATED_RHO = {"preset": "fig3", "rho": {"kind": "tabulated",
+                                           "knots": [[0.0, 0.0], [1e-10, 1e-3], [5e-10, 0.0]]}}
 
 PROBES = (
     *(("curve", "--preset", p) for p in PRESETS),
@@ -33,6 +41,9 @@ PROBES = (
     ("curve", "--preset", "fig3", "--time-unit", "seconds"),
     *(("fit", "--preset", p, "--eta", "0.3", "--objective", o, "--out", "-")
       for p in ("fig3", "fig4") for o in ("match_qm", "underbound_qm")),
+    ("fit", "--preset", "fig4", "--eta", "0.3", "--tb-rule", "0.5*t_a", "--out", "-"),
+    ("curve", "--config", CONFIG),
+    ("mc", "--grid", "1:1:1", "--config", CONFIG),
     *(("mc", "--preset", p, "--seed", s) for p in ("fig1", "fig3", "fig4") for s in ("42", "7")),
     ("thresholds",),
     # error lines: an inadmissible rho at the first grid time, one inside a curve, bad weights
@@ -52,12 +63,16 @@ def run(root: Path, argv: list[str]) -> tuple[str, int]:
 
 def main() -> None:
     root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent).resolve()
-    probes = [(["-m", "mesonbell.cli", *probe], "mesonbell " + " ".join(probe)) for probe in PROBES]
-    probes += [([str(demo.relative_to(root))], str(demo.relative_to(root)))
-               for demo in sorted((root / "demos").glob("*.py"))]
-    for argv, label in probes:
-        digest, code = run(root, argv)
-        print(f"{digest}  {code}  {label}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / CONFIG
+        config.write_text(json.dumps(TABULATED_RHO))
+        probes = [(["-m", "mesonbell.cli", *(str(config) if a == CONFIG else a for a in probe)],
+                   "mesonbell " + " ".join(probe)) for probe in PROBES]
+        probes += [([str(demo.relative_to(root))], str(demo.relative_to(root)))
+                   for demo in sorted((root / "demos").glob("*.py"))]
+        for argv, label in probes:
+            digest, code = run(root, argv)
+            print(f"{digest}  {code}  {label}", flush=True)
 
 
 if __name__ == "__main__":
