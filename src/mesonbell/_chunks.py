@@ -2,13 +2,26 @@
 
 ``_run_shares`` runs numbered work items on the calling thread plus helper
 threads.  ``_on_chunks``, the one grid driver, checks the caller's times
-against the species' time domain, lays them out as a flat grid and hands it
-the fixed-size chunks, so every array entry point (``qm_like_joint``,
+against the species' time domain, lays them out as a flat grid and cuts it
+into equal chunks, so every array entry point (``qm_like_joint``,
 ``qm_unlike_joint``, ``asymmetry``, ``joint_probabilities``,
 ``lrm_like_joint``, ``p21_conditional``, ``p43_conditional``, the fitter's
 tables and ``evaluate_gap``) is one call of it.  Each output element
 depends only on its own row, so the outputs are the same bits whatever the
 chunking or thread count.
+
+A grid of n points is cut into ceil(n / _CHUNK) chunks whose lengths differ
+by at most one, and each chunk beyond the first starts one helper thread, up
+to ``_WORKERS`` threads in all; a grid of one chunk (the 200-point fit
+tables, the default CLI curves, a cubature provider call) stays on the
+calling thread.  ``_WORKERS`` is the number of CPUs this process may run
+on, at most 8: its affinity mask where the platform has one, so a run
+pinned to one core (``taskset -c 0``) starts no helper that would only
+contend for it.  A cgroup CPU quota is not read.  On a 2-core host two
+threads ran ``evaluate_gap`` plus ``lrm_like_joint`` at 5e4 and 1e5 points
+1.24-1.38x faster than one while the host let two threads of one process
+overlap, and 5-12 % slower in spells when the helper ran on the caller's
+core or the host stole CPU time.
 
 The one code path serves one point and 10^6 alike, so its fixed cost is kept
 small: a one-value check compares Python floats (``_in_range``), one row of
@@ -30,15 +43,15 @@ import numpy as np
 
 # the most threads one call uses (the caller counts as one); numpy's ufunc
 # loops and array work release the interpreter lock
-_WORKERS = min(os.cpu_count() or 1, 8)
-# points per chunk, so the kernels' temporaries stay in the core's cache; on
-# a 2-core host 2^13 to 2^15 ran within 7 % of each other on one thread, and
-# on two 2^14 beat 2^13 by 10-20 % (a 1e6 grid in 2^15 chunks starts no thread)
+_WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1, 8)
+# the most points per chunk, so the kernels' temporaries stay in the core's
+# cache; on a 2-core host 2^13 to 2^15 ran within 7 % of each other on one
+# thread, and on two 2^14 beat 2^13 by 10-20 %.  Every chunk beyond the first
+# gets a thread, up to _WORKERS: a helper's start, run and join took 51-59 us
+# at the median and 73-128 us at p99 there (2,000 starts), against ~1.6 ms for
+# one chunk of evaluate_gap
 _CHUNK = 1 << 14
-# chunks each thread must get before one more thread starts: a thread start
-# costs about a millisecond on a shared host, so grids under 2^19 points (the
-# CLI grids, the 200-point fit tables) stay on the calling thread
-_CHUNKS_PER_WORKER = 16
 
 
 def _in_range(values: np.ndarray, lo: float, hi: float) -> bool:
@@ -119,7 +132,7 @@ def _run_shares(n_items: int, workers: int, work: Callable[[int], None]) -> None
 
 def _on_chunks(kernel: Callable, params, t_a, t_b, *widths: tuple[int, ...],
                rows_at: Callable | None = None):
-    """Evaluate kernel over the time grid (t_a, t_b) in chunks of _CHUNK points.
+    """Evaluate kernel over the time grid (t_a, t_b) in equal chunks of at most _CHUNK points.
 
     The times are checked against ``params._max_time``, broadcast to one grid
     and flattened (times of one shape are viewed flat as they are, strided or
@@ -127,9 +140,9 @@ def _on_chunks(kernel: Callable, params, t_a, t_b, *widths: tuple[int, ...],
     last axis: one (k,) row is handed whole to every chunk, and per-point
     rows are broadcast over the grid and cut with it.  ``kernel(t_a, t_b,
     [rows,] *outputs)`` fills each chunk of one float output of shape
-    (n, *width) per width, on one more thread per _CHUNKS_PER_WORKER chunks;
-    the error of the lowest failing chunk is raised.  Returns the grid times
-    and the outputs shaped (*grid, *width); a 0-d one comes back as a float.
+    (n, *width) per width, one thread per chunk up to _WORKERS; the error of
+    the lowest failing chunk is raised.  Returns the grid times and the
+    outputs shaped (*grid, *width); a 0-d one comes back as a float.
     """
     t_a = np.asarray(t_a, dtype=float)
     t_b = np.asarray(t_b, dtype=float)
@@ -149,16 +162,15 @@ def _on_chunks(kernel: Callable, params, t_a, t_b, *widths: tuple[int, ...],
             inputs.append(np.broadcast_to(rows, grid + rows.shape[-1:]).reshape(n, rows.shape[-1]))
     outputs = [np.empty((n, *width)) for width in widths]
     arrays = inputs + outputs
-    size = _CHUNK
-    n_chunks = -(-n // size)
+    n_chunks = -(-n // _CHUNK)
 
     def work(chunk: int) -> None:
-        part = slice(chunk * size, (chunk + 1) * size)
+        part = slice(chunk * n // n_chunks, (chunk + 1) * n // n_chunks)
         args = [x[part] for x in arrays]
         args[2:2] = shared      # after the times
         kernel(*args)
 
-    _run_shares(n_chunks, max(1, min(_WORKERS, n_chunks // _CHUNKS_PER_WORKER)), work)
+    _run_shares(n_chunks, min(_WORKERS, n_chunks), work)
     results = inputs[:2] + outputs
     if grid == (n,):    # the flat layout is the grid's own
         return results

@@ -24,8 +24,8 @@ required ratios stay inside [0, 1].
 
 The (P, QM) tables and ``evaluate_gap`` are each one call of the grid
 driver of ``mesonbell._chunks``, with the columns of ``evaluate_gap`` at
-least 1-D; grids under 2^19 points, the fit grids included, stay on the
-calling thread.
+least 1-D; a grid of at most 2^14 points, the 200-point fit grids
+included, is one chunk and stays on the calling thread.
 """
 
 from __future__ import annotations

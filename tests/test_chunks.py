@@ -4,11 +4,14 @@ The thread scheduler's failure handling is driven directly through ``_run_shares
 """
 
 import math
+import os
 import signal
+import subprocess
 import sys
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,10 +39,9 @@ SERIAL = 1 << 40    # a chunk size no test grid reaches: one chunk on the callin
 
 
 def use_chunks(mp, chunk, workers):
-    """Evaluate in chunks of `chunk` points on `workers` threads whatever the chunk count."""
+    """Evaluate in chunks of at most `chunk` points on up to `workers` threads."""
     mp.setattr(_chunks, "_CHUNK", chunk)
     mp.setattr(_chunks, "_WORKERS", workers)
-    mp.setattr(_chunks, "_CHUNKS_PER_WORKER", 1)
 
 
 def count_thread_starts(mp):
@@ -105,16 +107,18 @@ def same(x, y):
 
 @settings(max_examples=40, deadline=None)
 @given(chunk=st.sampled_from([7, _chunks._CHUNK]),
-       size=st.sampled_from(["0", "1", "C-1", "C", "C+1", "3C+17"]),
+       data=st.data(),
        layout=st.sampled_from(["flat", "2-D", "scalar t_a", "outer"]),
        species=st.sampled_from(["kaon", "bmeson"]),
        rho_kind=st.sampled_from(["zero", "saturate_upper_short", "tabulated"]),
        callables=st.lists(st.booleans(), min_size=4, max_size=4),
        workers=st.sampled_from([1, 2, 3, 8]),
        seed=st.integers(0, 2**32 - 1))
-def test_outputs_do_not_depend_on_chunking_or_threads(chunk, size, layout, species, rho_kind,
+def test_outputs_do_not_depend_on_chunking_or_threads(chunk, data, layout, species, rho_kind,
                                                       callables, workers, seed):
-    n = {"0": 0, "1": 1, "C-1": chunk - 1, "C": chunk, "C+1": chunk + 1, "3C+17": 3 * chunk + 17}[size]
+    # the sizes at a chunk's edges, or any size up to 5 chunks and a short tail
+    n = data.draw(st.one_of(st.sampled_from([0, 1, chunk - 1, chunk, chunk + 1]),
+                            st.integers(0, 5 * chunk + 3)), label="n")
     params = {"kaon": KAON, "bmeson": BMESON}[species]
     rho = tabulated(params) if rho_kind == "tabulated" else RhoProfile(rho_kind)
     rng = np.random.default_rng(seed)
@@ -276,7 +280,8 @@ def test_flip_fractions_run_once_per_chunk(monkeypatch):
                      lambda: evaluate_gap(KAON, rho, weights, t_a, 2 * t_a)):
             shapes.clear()
             call()
-            assert shapes == [(2, 7)] * 4 + [(2, 2)]
+            # 30 points in 5 equal chunks
+            assert shapes == [(2, 6)] * 5
 
 
 def test_the_later_time_of_an_earlier_pair_is_raised_first(monkeypatch):
@@ -297,7 +302,7 @@ def test_the_later_time_of_an_earlier_pair_is_raised_first(monkeypatch):
 def test_a_conditional_raises_the_first_bad_pair_whether_disordered_or_inadmissible(monkeypatch, conditional):
     # saturate_lower_short is inadmissible for the kaon at 0.3/gamma_s and
     # admissible at 3-4/gamma_s; a disordered pair and an inadmissible pair
-    # share one chunk (SERIAL), sit in chunks 3 and 7 (7) or in chunk 0 (64)
+    # share one chunk (SERIAL), sit in chunks 3 and 7 (7) or in chunks 0 and 1 of 35 points (64)
     rho = RhoProfile.saturate_lower_short()
     for inadmissible, disordered in [(23, 50), (50, 23), (23, 24), (24, 23)]:
         t_a, t_b = np.full(70, 3.0 / G), np.full(70, 4.0 / G)
@@ -389,23 +394,79 @@ def test_helper_threads_see_the_callers_errstate(monkeypatch):
 
 
 def test_small_grids_stay_on_the_calling_thread(monkeypatch):
-    # one more thread per _CHUNKS_PER_WORKER chunks, up to _WORKERS
+    # one helper thread per chunk beyond the first, up to _WORKERS threads in all
     monkeypatch.setattr(_chunks, "_WORKERS", 8)
     started = count_thread_starts(monkeypatch)
     weights = EfficiencyWeights.constant(1.0, 0.13, 0.03, 0.04)
-    # the fit grids, the scan probes and the dense CLI curve at the real chunk size
-    for n in (200, 50_000, 100_000):
+    # the fit grids and one full chunk stay on the calling thread; the scan
+    # probes' 5e4 points are 4 chunks
+    for n, helpers in [(200, 0), (16_384, 0), (16_385, 1), (50_000, 3)]:
         t_a = np.linspace(0.2, 5.0, n) / G
-        evaluate_gap(KAON, RhoProfile.zero(), weights, t_a, 2 * t_a)
-        lrm_like_joint(KAON, RhoProfile.zero(), weights, t_a, 2 * t_a)
-        fitting._tables(KAON, RhoProfile.zero(), t_a, 2 * t_a)
-    assert started == []
-    monkeypatch.setattr(_chunks, "_CHUNK", 7)
-    for n_chunks, helpers in [(1, 0), (31, 0), (32, 1), (47, 1), (48, 2), (200, 7)]:
+        for call in (evaluate_gap, lrm_like_joint):
+            started.clear()
+            call(KAON, RhoProfile.zero(), weights, t_a, 2 * t_a)
+            assert len(started) == helpers, (n, call)
         started.clear()
-        t_a = np.linspace(0.2, 5.0, 7 * n_chunks) / G
-        joint_probabilities(KAON, RhoProfile.zero(), t_a, 2 * t_a)
-        assert len(started) == helpers, n_chunks
+        fitting._tables(KAON, RhoProfile.zero(), t_a, 2 * t_a)
+        assert len(started) == helpers, n
+    monkeypatch.setattr(_chunks, "_CHUNK", 7)
+    for n_chunks in (1, 2, 3, 7, 8, 9, 200):
+        # full chunks, and a grid 3 points short of them
+        for n in (7 * n_chunks, 7 * n_chunks - 3):
+            started.clear()
+            t_a = np.linspace(0.2, 5.0, n) / G
+            joint_probabilities(KAON, RhoProfile.zero(), t_a, 2 * t_a)
+            assert len(started) == min(8, n_chunks) - 1, n
+
+
+@settings(max_examples=100, deadline=None)
+@given(chunk=st.integers(1, 20), n=st.integers(0, 300), workers=st.sampled_from([1, 3]))
+@example(chunk=_chunks._CHUNK, n=16_385, workers=2)
+@example(chunk=_chunks._CHUNK, n=50_000, workers=2)
+@example(chunk=_chunks._CHUNK, n=1_000_000, workers=2)
+def test_chunks_tile_the_grid_in_equal_lengths(chunk, n, workers):
+    seen = []
+
+    def spy(t_a, t_b, out):
+        seen.append((int(t_a[0]), len(t_a)))
+        out[:] = t_b
+
+    t = np.arange(n, dtype=float)   # each time is its own index, in seconds
+    with pytest.MonkeyPatch.context() as mp:
+        use_chunks(mp, chunk, workers)
+        _chunks._on_chunks(spy, KAON, t, t, ())
+    if workers == 1:
+        # the calling thread alone runs them in array order
+        assert seen == sorted(seen)
+    seen.sort()
+    lengths = [length for _, length in seen]
+    assert len(seen) == -(-n // chunk)
+    assert [start for start, _ in seen] == [sum(lengths[:k]) for k in range(len(seen))]
+    assert sum(lengths) == n
+    assert max(lengths, default=0) <= chunk
+    assert max(lengths, default=0) - min(lengths, default=0) <= 1
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+def test_a_process_pinned_to_one_cpu_starts_no_thread():
+    code = ("import os, threading\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "import numpy as np\n"
+            "from mesonbell import _chunks\n"
+            "from mesonbell.constants import KAON\n"
+            "from mesonbell.fitting import evaluate_gap\n"
+            "from mesonbell.lrm import EfficiencyWeights, RhoProfile\n"
+            "assert _chunks._WORKERS == 1, _chunks._WORKERS\n"
+            "started = []\n"
+            "start = threading.Thread.start\n"
+            "threading.Thread.start = lambda thread: (started.append(thread), start(thread))\n"
+            "t_a = np.linspace(0.2, 5.0, 100_000) / KAON.gamma_s\n"
+            "evaluate_gap(KAON, RhoProfile.zero(), EfficiencyWeights.uniform(0.5), t_a, 2 * t_a)\n"
+            "assert started == [], started\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_the_lowest_failing_item_is_raised_after_every_share_ends():

@@ -419,8 +419,8 @@ def test_module_entry_points_run_the_cli(module, capsys):
     (["fit", "--preset", "fig3", "--eta", "0.3", "--grid", "0.2:5:20"], ["scipy.optimize"]),
     # the event counts are drawn with numpy alone, whatever their number
     (["mc", "--preset", "fig3", "--grid", "1:1:1", "--n-events", "5000000"], []),
-    # enough grid points (32 chunks) for the tables to start a helper thread on a multi-core host
-    (["curve", "--preset", "fig3", "--grid", "0.2:5:524288"], []),
+    # enough grid points (2 chunks) for the tables to start a helper thread on a multi-core host
+    (["curve", "--preset", "fig3", "--grid", "0.2:5:20000"], []),
 ])
 def test_commands_import_only_the_scipy_they_need(argv, loaded):
     src = Path(__file__).resolve().parent.parent / "src"

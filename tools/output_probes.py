@@ -49,6 +49,8 @@ PROBES = (
     # error lines: an inadmissible rho at the first grid time, one inside a curve, bad weights
     ("mc", "--grid", "0:0:1", "--rho", "saturate_lower_short"),
     ("curve", "--species", "bmeson", "--rho", "saturate_upper_short"),
+    # the same error raised from the second of 7 chunks, with a helper thread on a multi-core host
+    ("curve", "--species", "bmeson", "--rho", "saturate_upper_short", "--grid", "0.2:5:100000"),
     ("curve", "--weights", "nan,1,1,1"),
 )
 
