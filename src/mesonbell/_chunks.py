@@ -3,12 +3,12 @@
 ``_run_shares`` runs numbered work items on the calling thread plus helper
 threads.  ``_on_chunks``, the one grid driver, checks the caller's times
 against the species' time domain, lays them out as a flat grid and cuts it
-into equal chunks, so every array entry point (``qm_like_joint``,
-``qm_unlike_joint``, ``asymmetry``, ``joint_probabilities``,
-``lrm_like_joint``, ``p21_conditional``, ``p43_conditional``, the fitter's
-tables and ``evaluate_gap``) is one call of it.  Each output element
-depends only on its own row, so the outputs are the same bits whatever the
-chunking or thread count.
+into equal chunks, so every public function of time is one call of it, a
+function of one time t (``survival``, ``q_plus``, ``q_minus``, ``rho_bounds``,
+``RhoProfile.value``) on the pairs (t, t); so are the fitter's tables.  A
+result at one time is a Python float.  Each output element depends only on
+its own row, so the outputs are the same bits whatever the chunking or
+thread count.
 
 A grid of n points is cut into ceil(n / _CHUNK) chunks whose lengths differ
 by at most one, and each chunk beyond the first starts one helper thread, up

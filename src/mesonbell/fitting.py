@@ -161,9 +161,8 @@ def _trivial_ratio_table(params, rho, t_a, t_b):
     supported = p > SUPPORT_FLOOR
     n_support = supported.sum(axis=-1, keepdims=True)
     # spread the reproduction load evenly over the supported configurations
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(n_support > 0, 4.0 / np.maximum(n_support, 1), 0.0)
-        ratios = np.where(supported, scale * np.expand_dims(qm, -1) / np.where(supported, p, 1.0), 0.0)
+    scale = np.where(n_support > 0, 4.0 / np.maximum(n_support, 1), 0.0)
+    ratios = np.where(supported, scale * np.expand_dims(qm, -1) / np.where(supported, p, 1.0), 0.0)
     return ratios, supported
 
 

@@ -69,13 +69,15 @@ which is where hidden-variable-correlated detection (the detection loophole)
 enters: unequal weights bias the post-selected sample.  ``EfficiencyWeights``
 holds four constants or one function of (t_a, t_b) whose last axis is a1..a4.
 
-``joint_probabilities`` (the times' broadcast shape plus a last axis of 4),
-``lrm_like_joint``, ``p21_conditional`` and ``p43_conditional`` (that shape,
-or a float at two scalar times) are each one call of the grid driver of
-``mesonbell._chunks``, which checks their times (the conditionals' kernel
-also checks t_a <= t_b).  Every value depends only on its own time pair, so
-the output is the same bits whatever the chunking, and an inadmissible rho
-or a disordered pair raises at the first offending time pair in array order.
+Every public function of time here is one call of the grid driver of
+``mesonbell._chunks``, which checks the times (the conditionals' kernel also
+checks t_a <= t_b); ``survival``, ``q_plus``, ``q_minus``, ``rho_bounds`` and
+``RhoProfile.value`` take one time t and run on the pairs (t, t).  A result
+has the times' broadcast shape (``joint_probabilities`` adds a last axis of
+4), or is a Python float at scalar times.  Every value depends only on its
+own time pair, so the output is the same bits whatever the chunking, and an
+inadmissible rho or a disordered pair raises at the first offending time
+pair in array order.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._chunks import _check_times, _in_range, _on_chunks
+from ._chunks import _in_range, _on_chunks
 from .constants import OscillationParams
 from .quantum import _oscillation
 
@@ -153,18 +155,16 @@ INITIAL_PAIRS = ((K1, K4), (K2, K3), (K3, K2), (K4, K1))
 
 def survival(params: OscillationParams, which: str, t):
     """Survival probability e^{-gamma t} of the short- or long-lived branch."""
-    _check_times(params, t)
-    if which == "short":
-        return np.exp(-params.gamma_s * np.asarray(t, dtype=float))
-    if which == "long":
-        return np.exp(-params.gamma_l * np.asarray(t, dtype=float))
-    raise ValueError(f"which must be 'short' or 'long', got {which!r}")
+    if which not in ("short", "long"):
+        raise ValueError(f"which must be 'short' or 'long', got {which!r}")
+    gamma = params.gamma_s if which == "short" else params.gamma_l
+    return _on_chunks(lambda t, _, out: np.exp(-gamma * t, out=out), params, t, t, ())[2]
 
 
 def _q(params: OscillationParams, t, *signs: float):
     # (1 + sign c) / 2 per sign (+1: Q+, -1: Q-) from one c of quantum._oscillation;
     # -c is exact, so each has the bits of its own evaluation.  One sign: one array
-    c = _oscillation(params, np.asarray(t, dtype=float))
+    c = _oscillation(params, t)
     qs = []
     for sign in signs:
         q = sign * c
@@ -176,14 +176,12 @@ def _q(params: OscillationParams, t, *signs: float):
 
 def q_plus(params: OscillationParams, t):
     """Oscillation weight Q+(t) in [0, 1]; Q+(0) = 1."""
-    _check_times(params, t)
-    return _q(params, t, +1.0)
+    return _on_chunks(lambda t, _, out: np.copyto(out, _q(params, t, +1.0)), params, t, t, ())[2]
 
 
 def q_minus(params: OscillationParams, t):
     """Oscillation weight Q-(t) = 1 - Q+(t); Q-(0) = 0."""
-    _check_times(params, t)
-    return _q(params, t, -1.0)
+    return _on_chunks(lambda t, _, out: np.copyto(out, _q(params, t, -1.0)), params, t, t, ())[2]
 
 
 def rho_bounds(params: OscillationParams, t):
@@ -192,19 +190,20 @@ def rho_bounds(params: OscillationParams, t):
     lower = max(-E_S Q+, -E_L Q-), upper = min(E_S Q-, E_L Q+); the range
     always contains 0 and degenerates to (0, 0) at t = 0.
     """
-    _check_times(params, t)
-    t = np.asarray(t, dtype=float)
-    e_s = np.exp(-params.gamma_s * t)
-    e_l = np.exp(-params.gamma_l * t)
-    qp, qm = _q(params, t, +1.0, -1.0)
-    lower = np.maximum(-e_s * qp, -e_l * qm)
-    upper = np.minimum(e_s * qm, e_l * qp)
+    def kernel(t, _, lower, upper):
+        e_s = np.exp(-params.gamma_s * t)
+        e_l = np.exp(-params.gamma_l * t)
+        qp, qm = _q(params, t, +1.0, -1.0)
+        np.maximum(-e_s * qp, -e_l * qm, out=lower)
+        np.minimum(e_s * qm, e_l * qp, out=upper)
+
+    _, _, lower, upper = _on_chunks(kernel, params, t, t, (), ())
     return lower, upper
 
 
 def _interp_knots(knots: tuple[tuple[float, float], ...], t):
     ts, vs = np.array(knots).T
-    return np.interp(np.asarray(t, dtype=float), ts, vs)
+    return np.interp(t, ts, vs)
 
 
 @dataclass(frozen=True)
@@ -270,11 +269,11 @@ class RhoProfile:
 
     def value(self, params: OscillationParams, t):
         """rho(t), checked against both bound pairs at every evaluated time."""
-        _check_times(params, t)
-        t = np.asarray(t, dtype=float)
-        rho = self._rho(params, t)
-        self._check_fractions(params, t[np.newaxis])
-        return rho if rho.ndim else float(rho)
+        def kernel(t, _, out):
+            out[:] = self._rho(params, t)
+            self._check_fractions(params, t[np.newaxis])
+
+        return _on_chunks(kernel, params, t, t, ())[2]
 
     def _rho(self, params: OscillationParams, t: np.ndarray) -> np.ndarray:
         """rho(t) of the kind, unchecked."""
@@ -293,7 +292,6 @@ class RhoProfile:
     # both avoids overflow and makes the saturation identities exact.
 
     def _fractions(self, params: OscillationParams, t):
-        t = np.asarray(t, dtype=float)
         if self.kind == "saturate_lower_short":
             qp, qm = _q(params, t, +1.0, -1.0)
             w2 = np.ones_like(qm)
@@ -327,7 +325,7 @@ class RhoProfile:
             t_bad = float(np.moveaxis(t, 0, -1)[np.moveaxis(bad, 0, -1)][0])
             lo, up = rho_bounds(params, t_bad)
             rho = float(self._rho(params, np.asarray(t_bad)))
-            raise InadmissibleRhoError(t_bad, f"value {rho:.6e} outside [{float(lo):.6e}, {float(up):.6e}]")
+            raise InadmissibleRhoError(t_bad, f"value {rho:.6e} outside [{lo:.6e}, {up:.6e}]")
         return w2, w4
 
 

@@ -223,6 +223,8 @@ def integrated_ratio(
     read.  The cubature raises ValueError unless it is finite and positive,
     and QuadratureError when the box area overflows a float, when it does
     not converge or when its error estimate for the ratio exceeds ``rel_tol``.
+    That estimate can understate the true error: at equal widths 1e12 s^-1 and
+    x = 21.6, rel_tol = 1e-8 gives a ratio 5.19e-8 off the closed form, unraised.
     """
     if like_joint is None and unlike_joint is None:
         # everything in units of gamma_s, so no square over- or underflows

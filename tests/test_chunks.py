@@ -30,7 +30,10 @@ from mesonbell.lrm import (
     lrm_like_joint,
     p21_conditional,
     p43_conditional,
+    q_minus,
+    q_plus,
     rho_bounds,
+    survival,
 )
 from mesonbell.quantum import qm_like_joint, qm_unlike_joint
 
@@ -81,12 +84,16 @@ def stacked_weights(*columns):
 
 def outcomes(params, rho, weights, t_a, t_b):
     """Every output of the array entry points, or the errors they raise."""
-    out = [qm_like_joint(params, t_a, t_b), qm_unlike_joint(params, t_a, t_b)]
+    out = [qm_like_joint(params, t_a, t_b), qm_unlike_joint(params, t_a, t_b),
+           # the functions of one time on t_a
+           survival(params, "short", t_a), survival(params, "long", t_a),
+           q_plus(params, t_a), q_minus(params, t_a), *rho_bounds(params, t_a)]
     try:
         table = evaluate_gap(params, rho, weights, t_a, t_b)
         out += [joint_probabilities(params, rho, t_a, t_b), lrm_like_joint(params, rho, weights, t_a, t_b),
                 *fitting._tables(params, rho, t_a, t_b),
                 table.t_a, table.t_b, table.qm, table.lrm, table.p, table.gap]
+        out.append(rho.value(params, t_a))
     except InadmissibleRhoError as exc:
         out.append(("inadmissible", exc.t))
     # the conditional flips on the same grid, each pair put in time order
@@ -330,9 +337,10 @@ def test_each_public_call_checks_its_times_once(monkeypatch):
         check(*args, **kwargs)
 
     monkeypatch.setattr(_chunks, "_check_times", counting)
-    monkeypatch.setattr(lrm, "_check_times", counting)
     t = np.linspace(0.5, 5.0, 30) / G
     for call in [lambda: rho_bounds(KAON, t), lambda: rho_bounds(BMESON, 1e-12),
+                 lambda: survival(KAON, "short", t), lambda: survival(BMESON, "long", 1e-12),
+                 lambda: q_plus(KAON, t), lambda: q_minus(BMESON, 1e-12),
                  lambda: p21_conditional(KAON, RhoProfile.zero(), t, 2 * t),
                  lambda: p43_conditional(KAON, RhoProfile.saturate_upper_short(), t, 2 * t)]:
         calls.clear()
@@ -343,6 +351,13 @@ def test_each_public_call_checks_its_times_once(monkeypatch):
         calls.clear()
         rho.value(KAON, t[10:])
         assert len(calls) == 1
+
+
+def test_a_function_of_one_time_gives_a_float_at_one_time():
+    t = 1.3 / G
+    values = [survival(KAON, "short", t), survival(KAON, "long", t), q_plus(KAON, t), q_minus(KAON, t),
+              *rho_bounds(KAON, t), RhoProfile.zero().value(KAON, t)]
+    assert [type(value) for value in values] == [float] * 7
 
 
 @pytest.mark.parametrize("bad", [np.nan, -1e-12, np.inf])
@@ -409,6 +424,11 @@ def test_small_grids_stay_on_the_calling_thread(monkeypatch):
         started.clear()
         fitting._tables(KAON, RhoProfile.zero(), t_a, 2 * t_a)
         assert len(started) == helpers, n
+        # the functions of one time run on the same grids
+        for call in (rho_bounds, q_plus, RhoProfile.zero().value):
+            started.clear()
+            call(KAON, t_a)
+            assert len(started) == helpers, (n, call)
     monkeypatch.setattr(_chunks, "_CHUNK", 7)
     for n_chunks in (1, 2, 3, 7, 8, 9, 200):
         # full chunks, and a grid 3 points short of them

@@ -574,7 +574,9 @@ def test_readme_lists_each_commands_flags_and_defaults():
 
 
 @pytest.mark.parametrize("argv", [["curve", "--eta", "0.3"], ["mc", "--out", "x"],
-                                  ["curve", "--species", "pion"], ["fit", "--seed", "1"], []])
+                                  ["curve", "--species", "pion"], ["fit", "--seed", "1"], [],
+                                  # a negative K needs --tb-rule=-0.5*t_a+3: argparse reads it as a flag
+                                  ["curve", "--tb-rule", "-0.5*t_a+3"]])
 def test_usage_errors_are_one_line(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
