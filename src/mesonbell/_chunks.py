@@ -67,9 +67,8 @@ def _in_range(values: np.ndarray, lo: float, hi: float) -> bool:
 
 
 def _check_times(params, *times) -> None:
-    """Every time finite, non-negative and at most the species' ``params._max_time``."""
+    """Every time of the float arrays finite, non-negative and at most ``params._max_time``."""
     for t in times:
-        t = np.asarray(t, dtype=float)
         if not _in_range(t, 0.0, params._max_time):
             # x < inf is x <= the largest float
             if _in_range(t, 0.0, sys.float_info.max):

@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__, bell
 from .bell import EXPECTED_B_TAGGING_EFFICIENCY, NO_BACKGROUND_CAVEAT, threshold_check
 from .constants import SPECIES, semileptonic_total, species_params
-from .fitting import OBJECTIVES, FitProblem, _objective_value, default_grid, evaluate_gap, fit_constant_weights
+from .fitting import OBJECTIVES, FitProblem, _curve, _objective_value, default_grid, evaluate_gap, fit_constant_weights
 from .lrm import EfficiencyWeights, RhoProfile, lrm_like_joint
 from .montecarlo import SimConfig, simulate
 from .quantum import TimePair
@@ -241,33 +241,28 @@ def _write_csv(table, scenario) -> None:
 
 def cmd_curve(args: argparse.Namespace) -> int:
     scenario = _scenario(args)
-    table = evaluate_gap(scenario["params"], scenario["rho"], scenario["weights"],
-                         scenario["t_a"], scenario["t_b"])
-    _write_csv(table, scenario)
+    _write_csv(evaluate_gap(scenario["params"], scenario["rho"], scenario["weights"],
+                            scenario["t_a"], scenario["t_b"]), scenario)
     return 0
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
     scenario = _scenario(args)
     objective = scenario["objective"]
-    problem = FitProblem(scenario["params"], scenario["rho"], scenario["eta"],
-                         scenario["t_a"], scenario["t_b"], objective)
-    result = fit_constant_weights(problem)
-    fitted = result.weights.as_tuple()
-    baseline = evaluate_gap(scenario["params"], scenario["rho"], scenario["weights"],
-                            scenario["t_a"], scenario["t_b"])
-    base_gap = _objective_value(baseline.gap, objective)
+    result = fit_constant_weights(FitProblem(scenario["params"], scenario["rho"], scenario["eta"],
+                                             scenario["t_a"], scenario["t_b"], objective))
+    table = result.table    # the fit's curve; the input weights' gap is summed on its (P, QM)
+    base_gap = _objective_value(_curve(table.t_a, table.t_b, table.p, table.qm,
+                                       scenario["weights"].as_tuple()).gap, objective)
     print(f"objective       = {objective}")
     print(f"species         = {scenario['params'].species}")
     print(f"target_eta      = {_FMT % scenario['eta']}")
     print(f"achieved_eta    = {_FMT % result.achieved_eta}")
-    print("fitted_weights  = " + ",".join(_FMT % w for w in fitted))
+    print("fitted_weights  = " + ",".join(_FMT % w for w in result.weights.as_tuple()))
     print(f"max_gap         = {_FMT % result.max_abs_gap}")
     print(f"input_gap       = {_FMT % base_gap}  (gap of the --weights/preset values)")
     print(f"iterations      = {result.iterations}")
     if scenario["out"]:
-        table = evaluate_gap(scenario["params"], scenario["rho"], result.weights,
-                             scenario["t_a"], scenario["t_b"])
         _write_csv(table, scenario)
     return 0
 

@@ -30,7 +30,7 @@ included, is one chunk and stays on the calling thread.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -118,11 +118,12 @@ def _tables(params, rho, t_a, t_b):
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted constant weights, their mean, their objective on the grid and the LP effort.
+    """Fitted constant weights, their mean, their objective and curve on the grid, and the LP effort.
 
     ``max_abs_gap`` holds the objective's value on the grid: max |LRM - QM|
     for ``match_qm``, and the largest positive excess max(0, LRM - QM) for
-    ``underbound_qm``.
+    ``underbound_qm``.  ``table``, the fitted curve on the LP's own (P, QM),
+    has the bits of ``evaluate_gap``; equality and hashing leave it out.
 
     ``iterations`` counts HiGHS simplex iterations from the slack basis
     (presolve is off), so it is 0 only where that basis is already optimal.
@@ -132,6 +133,7 @@ class FitResult:
     achieved_eta: float
     max_abs_gap: float
     iterations: int
+    table: CurveTable = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -248,13 +250,13 @@ def fit_constant_weights(problem: FitProblem) -> FitResult:
     room = (1.0 - a if residual > 0.0 else a) + ((a > 0.0) & (a < 1.0))
     a[int(np.argmax(room))] += residual
     a = _on_bounds(a)
-    lrm = np.empty_like(qm)
-    _weighted_rate(p.T, a, lrm)     # summed as evaluate_gap sums it, so the gap has its bits
+    table = _curve(problem.grid_t_a, problem.grid_t_b, p, qm, a)
     return FitResult(
         weights=EfficiencyWeights.constant(*a),
         achieved_eta=float(a.mean()),
-        max_abs_gap=_objective_value(lrm - qm, problem.objective),
+        max_abs_gap=_objective_value(table.gap, problem.objective),
         iterations=int(res.nit),
+        table=table,
     )
 
 
@@ -296,3 +298,10 @@ def evaluate_gap(params: OscillationParams, rho: RhoProfile, weights: Efficiency
     t_a, t_b, p, qm, lrm, gap = _on_chunks(kernel, params, np.atleast_1d(grid_t_a), grid_t_b,
                                            (4,), (), (), (), rows_at=weights._rows)
     return CurveTable(t_a=t_a, t_b=t_b, qm=qm, lrm=lrm, p=p, gap=gap)
+
+
+def _curve(t_a, t_b, p, qm, a) -> CurveTable:
+    """The curve of constant weights a1..a4 on a grid's (P, qm), summed as evaluate_gap sums it."""
+    lrm = np.empty_like(qm)
+    _weighted_rate(p.T, np.asarray(a, dtype=float), lrm)
+    return CurveTable(t_a=t_a, t_b=t_b, qm=qm, lrm=lrm, p=p, gap=lrm - qm)

@@ -465,10 +465,6 @@ class EfficiencyWeights:
             raise TypeError("time-dependent weights have no single tuple; use values(t_a, t_b)")
         return self.a
 
-    @property
-    def is_constant(self) -> bool:
-        return self._row is not None
-
     def values(self, t_a, t_b) -> np.ndarray:
         """a1..a4 at (t_a, t_b): a read-only array of the times' broadcast shape plus a last axis of four.
 
@@ -482,7 +478,8 @@ class EfficiencyWeights:
         except ValueError:
             raise ValueError(f"weight rows have shape {rows.shape}, which does not broadcast "
                              f"to {shape}, the time grid's shape plus a last axis of a1..a4") from None
-        _validate_weight_values(out)
+        if self._row is None:   # constant weights were checked once, when made
+            _validate_weight_values(out)
         return out
 
     def _rows(self, t_a, t_b) -> np.ndarray:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mesonbell import cli
+from mesonbell import cli, fitting
 from mesonbell.cli import _SETTINGS, PRESETS, _scenario, _write_csv, build_parser, main
 from mesonbell.constants import KAON, SPECIES
 from mesonbell.fitting import OBJECTIVES, CurveTable
@@ -360,6 +360,16 @@ def test_fit_requires_eta(capsys):
 def test_fit_infeasible_eta(capsys):
     code, _, err = run(capsys, "fit", "--eta", "1.5", "--grid", "0.2:5:10")
     assert code == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("out", [[], ["--out", "-"]], ids=["report", "report-and-csv"])
+def test_fit_builds_its_tables_once(monkeypatch, capsys, out):
+    # the fitted curve, the input weights' gap and the CSV all come from the LP's (P, QM)
+    chunk, calls = fitting._table_chunk, []
+    monkeypatch.setattr(fitting, "_table_chunk", lambda *args: calls.append(args) or chunk(*args))
+    code, text, _ = run(capsys, "fit", "--preset", "fig3", "--eta", "0.3", *out)
+    assert code == 0 and "input_gap" in text
+    assert len(calls) == 1
 
 
 def test_fit_writes_gap_csv(tmp_path, capsys):

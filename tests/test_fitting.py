@@ -347,6 +347,13 @@ def test_fit_reaches_the_optimum_where_descent_stopped_short(eta):
         assert result.max_abs_gap < 5.665e-3
 
 
+def assert_same_bytes(table, expected):
+    """Every column of the CurveTable has the shape and bytes of the expected one's."""
+    for name in ("t_a", "t_b", "qm", "lrm", "p", "gap"):
+        column, reference = getattr(table, name), getattr(expected, name)
+        assert column.shape == reference.shape and column.tobytes() == reference.tobytes(), name
+
+
 @pytest.mark.parametrize("params, rho", [(KAON, ZERO), (BMESON, ZERO), (KAON, SAT_UP)],
                          ids=["kaon-zero", "bmeson-zero", "kaon-saturate_upper_short"])
 @pytest.mark.parametrize("tb_factor", [2.0, 0.5])
@@ -354,11 +361,17 @@ def test_fit_reaches_the_optimum_where_descent_stopped_short(eta):
 def test_reported_objective_has_the_bits_of_the_evaluated_gap(params, rho, tb_factor, objective):
     # the fit's max_gap and the gap column of its curve come from one sum;
     # p @ a / 4 - qm differed in the last bit for 6 of these 108 fits
+    # so does the fit's table, the fitted curve on the LP's own (P, QM)
     t_a, t_b = default_grid(params, tb_factor=tb_factor)
     for eta in np.arange(1, 10) / 10:
         result = fit_constant_weights(FitProblem(params, rho, float(eta), t_a, t_b, objective))
-        gap = evaluate_gap(params, rho, result.weights, t_a, t_b).gap
-        assert result.max_abs_gap == fitting._objective_value(gap, objective), eta
+        expected = evaluate_gap(params, rho, result.weights, t_a, t_b)
+        assert result.max_abs_gap == fitting._objective_value(expected.gap, objective), eta
+        assert_same_bytes(result.table, expected)
+    # other weights summed on that table, as the CLI sums its input weights
+    table = result.table
+    reweighted = fitting._curve(table.t_a, table.t_b, table.p, table.qm, FIG3_WEIGHTS)
+    assert_same_bytes(reweighted, evaluate_gap(params, rho, EfficiencyWeights.constant(*FIG3_WEIGHTS), t_a, t_b))
 
 
 def test_trivial_weights_build_one_table_per_evaluation(monkeypatch):

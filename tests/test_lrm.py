@@ -495,7 +495,6 @@ def test_weight_values_and_total_efficiency():
     vals = td.values(1 / G, 2 / G)
     assert vals.shape == (4,)
     assert_allclose(vals, [np.exp(-1.0), 0.5, 0.5, 0.5], rtol=1e-15)
-    assert td.is_constant is False and w.is_constant is True
     assert w.as_tuple() == (1.0, 0.13, 0.03, 0.04)
     # at array times, the per-point mean in the grid's shape; a float at two scalar times
     t_a = np.array([[1.0], [2.0]]) / G

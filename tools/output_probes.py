@@ -42,6 +42,8 @@ PROBES = (
     *(("fit", "--preset", p, "--eta", "0.3", "--objective", o, "--out", "-")
       for p in ("fig3", "fig4") for o in ("match_qm", "underbound_qm")),
     ("fit", "--preset", "fig4", "--eta", "0.3", "--tb-rule", "0.5*t_a", "--out", "-"),
+    # two chunks: the fit's tables are built with a helper thread, and its CSV comes from them
+    ("fit", "--preset", "fig3", "--eta", "0.3", "--grid", "0.2:5:20000", "--out", "-"),
     ("curve", "--config", CONFIG),
     ("mc", "--grid", "1:1:1", "--config", CONFIG),
     *(("mc", "--preset", p, "--seed", s) for p in ("fig1", "fig3", "fig4") for s in ("42", "7")),
