@@ -252,8 +252,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     result = fit_constant_weights(FitProblem(scenario["params"], scenario["rho"], scenario["eta"],
                                              scenario["t_a"], scenario["t_b"], objective))
     table = result.table    # the fit's curve; the input weights' gap is summed on its (P, QM)
-    base_gap = _objective_value(_curve(table.t_a, table.t_b, table.p, table.qm,
-                                       scenario["weights"].as_tuple()).gap, objective)
+    base_gap = _objective_value(_curve(table.t_a, table.t_b, table.p, table.qm, scenario["weights"]).gap,
+                                objective)
     print(f"objective       = {objective}")
     print(f"species         = {scenario['params'].species}")
     print(f"target_eta      = {_FMT % scenario['eta']}")

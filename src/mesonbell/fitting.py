@@ -118,7 +118,7 @@ def _tables(params, rho, t_a, t_b):
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted constant weights, their mean, their objective and curve on the grid, and the LP effort.
+    """Fitted constant weights, their total efficiency, objective and curve on the grid, and the LP effort.
 
     ``max_abs_gap`` holds the objective's value on the grid: max |LRM - QM|
     for ``match_qm``, and the largest positive excess max(0, LRM - QM) for
@@ -130,7 +130,7 @@ class FitResult:
     """
 
     weights: EfficiencyWeights
-    achieved_eta: float
+    achieved_eta: float             # weights.total_efficiency()
     max_abs_gap: float
     iterations: int
     table: CurveTable = field(compare=False, repr=False)
@@ -145,9 +145,8 @@ class TrivialWeightsResult:
     the returned weight rows clip them into [0, 1].
     Points where any ratio had to be clipped are flagged in ``capped`` and
     the exact-reproduction guarantee is lost there, which is why they are
-    excluded from ``feasible``.  ``pointwise_eta`` is the mean of the four
-    clipped weights per grid point; a fixed overall efficiency target is not
-    representable by this assignment, only reported.
+    excluded from ``feasible``.  A fixed total efficiency is not imposed;
+    ``weights.total_efficiency(t_a, t_b)`` gives it per point.
     """
 
     weights: EfficiencyWeights
@@ -155,7 +154,6 @@ class TrivialWeightsResult:
     supported: np.ndarray           # (n, 4) bool, P_i > SUPPORT_FLOOR
     capped: np.ndarray              # (n,) bool, some ratio fell outside [0, 1]
     feasible: np.ndarray            # (n,) bool, exact reproduction holds
-    pointwise_eta: np.ndarray       # (n,)
 
 
 def _trivial_ratio_table(params, rho, t_a, t_b):
@@ -190,7 +188,6 @@ def trivial_weights(problem: FitProblem) -> TrivialWeightsResult:
         supported=supported,
         capped=capped,
         feasible=feasible,
-        pointwise_eta=np.clip(ratios, 0.0, 1.0).mean(axis=1),
     )
 
 
@@ -249,11 +246,11 @@ def fit_constant_weights(problem: FitProblem) -> FitResult:
     residual = total - a.sum()
     room = (1.0 - a if residual > 0.0 else a) + ((a > 0.0) & (a < 1.0))
     a[int(np.argmax(room))] += residual
-    a = _on_bounds(a)
-    table = _curve(problem.grid_t_a, problem.grid_t_b, p, qm, a)
+    weights = EfficiencyWeights.constant(*_on_bounds(a))
+    table = _curve(problem.grid_t_a, problem.grid_t_b, p, qm, weights)
     return FitResult(
-        weights=EfficiencyWeights.constant(*a),
-        achieved_eta=float(a.mean()),
+        weights=weights,
+        achieved_eta=weights.total_efficiency(),
         max_abs_gap=_objective_value(table.gap, problem.objective),
         iterations=int(res.nit),
         table=table,
@@ -300,8 +297,8 @@ def evaluate_gap(params: OscillationParams, rho: RhoProfile, weights: Efficiency
     return CurveTable(t_a=t_a, t_b=t_b, qm=qm, lrm=lrm, p=p, gap=gap)
 
 
-def _curve(t_a, t_b, p, qm, a) -> CurveTable:
-    """The curve of constant weights a1..a4 on a grid's (P, qm), summed as evaluate_gap sums it."""
+def _curve(t_a, t_b, p, qm, weights: EfficiencyWeights) -> CurveTable:
+    """The curve of any EfficiencyWeights on a 1-D grid's (P, qm), summed as evaluate_gap sums it."""
     lrm = np.empty_like(qm)
-    _weighted_rate(p.T, np.asarray(a, dtype=float), lrm)
+    _weighted_rate(p.T, weights._rows(t_a, t_b), lrm)
     return CurveTable(t_a=t_a, t_b=t_b, qm=qm, lrm=lrm, p=p, gap=lrm - qm)

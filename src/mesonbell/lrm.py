@@ -195,6 +195,7 @@ def rho_bounds(params: OscillationParams, t):
         e_l = np.exp(-params.gamma_l * t)
         qp, qm = _q(params, t, +1.0, -1.0)
         np.maximum(-e_s * qp, -e_l * qm, out=lower)
+        lower += 0.0    # the -0.0 of -E_L * 0 where Q- = 0, or of an underflow, becomes 0.0
         np.minimum(e_s * qm, e_l * qp, out=upper)
 
     _, _, lower, upper = _on_chunks(kernel, params, t, t, (), ())
@@ -488,9 +489,11 @@ class EfficiencyWeights:
         return self.values(t_a, t_b) if self._row is None else self._row
 
     def total_efficiency(self, t_a=0.0, t_b=0.0):
-        """Mean of the four weights, evaluated at (t_a, t_b) if time-dependent:
-        an array of the times' broadcast shape, or a float at two scalar times."""
-        mean = np.mean(self.values(t_a, t_b), axis=-1)
+        """The total efficiency, by the library's one formula: the mean of the four weights at
+        (t_a, t_b), an array of the times' broadcast shape, or a float at two scalar times."""
+        # constant weights repeat their one row's mean, not reduce a broadcast (n, 4) view
+        mean = (np.mean(self.values(t_a, t_b), axis=-1) if self._row is None else
+                np.full(np.broadcast_shapes(np.shape(t_a), np.shape(t_b)), np.mean(self._row)))
         return mean if mean.ndim else float(mean)
 
 

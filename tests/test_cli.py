@@ -319,7 +319,7 @@ def test_inadmissible_rho_propagates_with_time(capsys):
     code, out, err = run(capsys, "mc", "--grid", "0:0:1", "--rho", "saturate_lower_short")
     assert (code, out) == (1, "")
     assert err == ("error: InadmissibleRhoError: rho profile inadmissible at t=0.0 s: "
-                   "value -1.000000e+00 outside [-0.000000e+00, 0.000000e+00]\n")
+                   "value -1.000000e+00 outside [0.000000e+00, 0.000000e+00]\n")
 
 
 def test_unwritable_path_fails_cleanly(tmp_path, capsys):

@@ -125,7 +125,7 @@ def test_problem_grid_is_one_axis_of_points():
     assert scalar.grid_t_a.shape == scalar.grid_t_b.shape == (1,)
     assert fit_constant_weights(scalar) == fit_constant_weights(one_point)
     trivial, expected = trivial_weights(scalar), trivial_weights(one_point)
-    for name in ("raw_ratios", "supported", "capped", "feasible", "pointwise_eta"):
+    for name in ("raw_ratios", "supported", "capped", "feasible"):
         assert np.array_equal(getattr(trivial, name), getattr(expected, name))
     assert np.array_equal(trivial.weights.values(t_a, t_b), expected.weights.values(t_a, t_b))
 
@@ -212,8 +212,9 @@ def test_trivial_ratios_are_non_negative_near_the_diagonal():
 def test_trivial_weights_pointwise_eta_reported():
     problem = FitProblem.on_default_grid(BMESON, ZERO, 0.3)
     result = trivial_weights(problem)
-    clipped = np.clip(result.raw_ratios, 0.0, 1.0)
-    assert_allclose(result.pointwise_eta, clipped.mean(axis=1), rtol=1e-15)
+    # the per-point total efficiency is the weights' own, with the bits of the clipped ratios' mean
+    eta = result.weights.total_efficiency(problem.grid_t_a, problem.grid_t_b)
+    assert eta.tobytes() == np.clip(result.raw_ratios, 0.0, 1.0).mean(axis=1).tobytes()
 
 
 def test_fit_full_efficiency_forces_unit_weights():
@@ -367,11 +368,26 @@ def test_reported_objective_has_the_bits_of_the_evaluated_gap(params, rho, tb_fa
         result = fit_constant_weights(FitProblem(params, rho, float(eta), t_a, t_b, objective))
         expected = evaluate_gap(params, rho, result.weights, t_a, t_b)
         assert result.max_abs_gap == fitting._objective_value(expected.gap, objective), eta
+        assert result.achieved_eta == result.weights.total_efficiency(), eta
         assert_same_bytes(result.table, expected)
     # other weights summed on that table, as the CLI sums its input weights
-    table = result.table
-    reweighted = fitting._curve(table.t_a, table.t_b, table.p, table.qm, FIG3_WEIGHTS)
-    assert_same_bytes(reweighted, evaluate_gap(params, rho, EfficiencyWeights.constant(*FIG3_WEIGHTS), t_a, t_b))
+    table, fig3 = result.table, EfficiencyWeights.constant(*FIG3_WEIGHTS)
+    assert_same_bytes(fitting._curve(table.t_a, table.t_b, table.p, table.qm, fig3),
+                      evaluate_gap(params, rho, fig3, t_a, t_b))
+
+
+@pytest.mark.parametrize("params, rho", [(KAON, ZERO), (BMESON, ZERO), (KAON, SAT_UP)],
+                         ids=["kaon-zero", "bmeson-zero", "kaon-saturate_upper_short"])
+@pytest.mark.parametrize("n", [200, 20_000])
+def test_curve_sums_time_dependent_weights_as_evaluate_gap_does(params, rho, n):
+    # rows of a function of (t_a, t_b), one per grid point, summed on a fit's own (P, QM)
+    t_a, t_b = default_grid(params, n=n)
+    weights = EfficiencyWeights(lambda ta, tb: np.stack(np.broadcast_arrays(
+        np.exp(-params.gamma_s * ta), 0.5 + 0.5 * np.cos(params.delta_m * tb), 0.3, np.exp(-params.gamma_l * tb)),
+        axis=-1))
+    table = fit_constant_weights(FitProblem(params, rho, 0.3, t_a, t_b)).table
+    assert_same_bytes(fitting._curve(table.t_a, table.t_b, table.p, table.qm, weights),
+                      evaluate_gap(params, rho, weights, t_a, t_b))
 
 
 def test_trivial_weights_build_one_table_per_evaluation(monkeypatch):

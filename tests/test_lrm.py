@@ -121,6 +121,19 @@ def test_rho_bounds_at_production():
     assert lo == 0.0 and up == 0.0
 
 
+def test_rho_bounds_lower_zero_has_no_sign_bit():
+    # Q- = 0 at t = 0 and, for the B meson, at delta_m t = 2 pi, where -E_L Q- is -0.0;
+    # for the B meson Q+ = 0 at delta_m t = pi, where -E_S Q+ is -0.0
+    period = 2 * np.pi / BMESON.delta_m
+    for params, t in ((KAON, 0.0), (BMESON, period)):
+        lo, up = rho_bounds(params, t)
+        assert (lo, up) == (0.0, 0.0) and not np.signbit(lo)
+    t = np.array([0.0, 1 / G, period, 0.5 * period])
+    for params, zeros in ((KAON, [True, False, False, False]), (BMESON, [True, False, True, True])):
+        lo, _ = rho_bounds(params, t)
+        assert np.array_equal(lo == 0.0, zeros) and not np.signbit(lo[lo == 0.0]).any()
+
+
 def test_rho_bounds_contain_zero_and_match_direct_expressions():
     t = np.linspace(0.0, 10.0, 500) / G
     lo, up = rho_bounds(KAON, t)
@@ -159,7 +172,7 @@ def test_q_plus_and_minus_have_the_bits_of_one_evaluation_per_sign(params):
     assert q_minus(params, t).tobytes() == qm.tobytes()
     e_s, e_l = np.exp(-params.gamma_s * t), np.exp(-params.gamma_l * t)
     lo, up = rho_bounds(params, t)
-    assert lo.tobytes() == np.maximum(-e_s * qp, -e_l * qm).tobytes()
+    assert lo.tobytes() == (np.maximum(-e_s * qp, -e_l * qm) + 0.0).tobytes()
     assert up.tobytes() == np.minimum(e_s * qm, e_l * qp).tobytes()
     w2, w4 = SAT_LO._fractions(params, t)
     assert w2.tobytes() == np.ones_like(t).tobytes()
@@ -188,7 +201,7 @@ def test_saturate_lower_inadmissible_at_small_times():
     with pytest.raises(InadmissibleRhoError) as err:
         SAT_LO.value(KAON, 0.0)
     assert str(err.value) == ("rho profile inadmissible at t=0.0 s: "
-                              "value -1.000000e+00 outside [-0.000000e+00, 0.000000e+00]")
+                              "value -1.000000e+00 outside [0.000000e+00, 0.000000e+00]")
     # beyond the crossing the same profile becomes admissible
     assert SAT_LO.value(KAON, 3 / G) == pytest.approx(
         -float(survival(KAON, "short", 3 / G) * q_plus(KAON, 3 / G)))
@@ -503,6 +516,20 @@ def test_weight_values_and_total_efficiency():
     assert np.array_equal(w.total_efficiency(t_a, t_b), np.full((2, 3), w.total_efficiency()))
     assert_allclose(td.total_efficiency(t_a, t_b),
                     np.broadcast_to((np.exp(-G * t_a) + 1.5) / 4, (2, 3)), rtol=1e-15)
+    # constant weights take their one row's mean: the value, shape, dtype, Python type and
+    # writeability of the mean over their rows broadcast to the times
+    times = np.linspace(0.0, 3.0, 9) / G
+    for a in [(1.0, 0.13, 0.03, 0.04), (0.1, 0.2, 0.7, 0.9), (0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0)]:
+        w = EfficiencyWeights.constant(*a)
+        for ta, tb in [(1 / G, 2 / G), (np.array(1 / G), np.array(2 / G)), (times, 2 * times),
+                       (times[:8:2], times[1::2]), (t_a, t_b), (times.reshape(3, 1, 3), times[:3])]:
+            mean = np.mean(w.values(ta, tb), axis=-1)
+            expected = mean if mean.ndim else float(mean)
+            got = w.total_efficiency(ta, tb)
+            assert type(got) is type(expected)
+            got, expected = np.asarray(got), np.asarray(expected)
+            assert (got.shape, got.dtype, got.tobytes()) == (expected.shape, expected.dtype, expected.tobytes())
+            assert got.flags.writeable == expected.flags.writeable
 
 
 def test_lrm_like_joint_weighted_sum():
