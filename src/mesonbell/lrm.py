@@ -195,7 +195,7 @@ def rho_bounds(params: OscillationParams, t):
         e_l = np.exp(-params.gamma_l * t)
         qp, qm = _q(params, t, +1.0, -1.0)
         np.maximum(-e_s * qp, -e_l * qm, out=lower)
-        lower += 0.0    # the -0.0 of -E_L * 0 where Q- = 0, or of an underflow, becomes 0.0
+        lower += 0.0    # a -0.0 (-E_L * 0 where Q- = 0, -E_S * 0 where Q+ = 0, an underflow) becomes 0.0
         np.minimum(e_s * qm, e_l * qp, out=upper)
 
     _, _, lower, upper = _on_chunks(kernel, params, t, t, (), ())
