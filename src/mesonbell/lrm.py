@@ -491,9 +491,7 @@ class EfficiencyWeights:
     def total_efficiency(self, t_a=0.0, t_b=0.0):
         """The total efficiency, by the library's one formula: the mean of the four weights at
         (t_a, t_b), an array of the times' broadcast shape, or a float at two scalar times."""
-        # constant weights repeat their one row's mean, not reduce a broadcast (n, 4) view
-        mean = (np.mean(self.values(t_a, t_b), axis=-1) if self._row is None else
-                np.full(np.broadcast_shapes(np.shape(t_a), np.shape(t_b)), np.mean(self._row)))
+        mean = np.mean(self.values(t_a, t_b), axis=-1)
         return mean if mean.ndim else float(mean)
 
 

@@ -370,24 +370,18 @@ def test_reported_objective_has_the_bits_of_the_evaluated_gap(params, rho, tb_fa
         assert result.max_abs_gap == fitting._objective_value(expected.gap, objective), eta
         assert result.achieved_eta == result.weights.total_efficiency(), eta
         assert_same_bytes(result.table, expected)
-    # other weights summed on that table, as the CLI sums its input weights
-    table, fig3 = result.table, EfficiencyWeights.constant(*FIG3_WEIGHTS)
-    assert_same_bytes(fitting._curve(table.t_a, table.t_b, table.p, table.qm, fig3),
-                      evaluate_gap(params, rho, fig3, t_a, t_b))
-
-
-@pytest.mark.parametrize("params, rho", [(KAON, ZERO), (BMESON, ZERO), (KAON, SAT_UP)],
-                         ids=["kaon-zero", "bmeson-zero", "kaon-saturate_upper_short"])
-@pytest.mark.parametrize("n", [200, 20_000])
-def test_curve_sums_time_dependent_weights_as_evaluate_gap_does(params, rho, n):
-    # rows of a function of (t_a, t_b), one per grid point, summed on a fit's own (P, QM)
-    t_a, t_b = default_grid(params, n=n)
-    weights = EfficiencyWeights(lambda ta, tb: np.stack(np.broadcast_arrays(
+    # other weights summed on that table, as the CLI sums its input weights, and on the
+    # (P, qm) of a 20,000-point problem, which evaluate_gap fills in two chunks: the fig3
+    # row, and one row per point from a function of (t_a, t_b)
+    wide_a, wide_b = default_grid(params, n=20_000, tb_factor=tb_factor)
+    tables = [(t_a, t_b, result.table.p, result.table.qm),
+              (wide_a, wide_b, *FitProblem(params, rho, 0.3, wide_a, wide_b, objective).tables())]
+    rows = EfficiencyWeights(lambda ta, tb: np.stack(np.broadcast_arrays(
         np.exp(-params.gamma_s * ta), 0.5 + 0.5 * np.cos(params.delta_m * tb), 0.3, np.exp(-params.gamma_l * tb)),
         axis=-1))
-    table = fit_constant_weights(FitProblem(params, rho, 0.3, t_a, t_b)).table
-    assert_same_bytes(fitting._curve(table.t_a, table.t_b, table.p, table.qm, weights),
-                      evaluate_gap(params, rho, weights, t_a, t_b))
+    for weights in (EfficiencyWeights.constant(*FIG3_WEIGHTS), rows):
+        for ta, tb, p, qm in tables:
+            assert_same_bytes(fitting._curve(ta, tb, p, qm, weights), evaluate_gap(params, rho, weights, ta, tb))
 
 
 def test_trivial_weights_build_one_table_per_evaluation(monkeypatch):

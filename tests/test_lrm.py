@@ -516,20 +516,6 @@ def test_weight_values_and_total_efficiency():
     assert np.array_equal(w.total_efficiency(t_a, t_b), np.full((2, 3), w.total_efficiency()))
     assert_allclose(td.total_efficiency(t_a, t_b),
                     np.broadcast_to((np.exp(-G * t_a) + 1.5) / 4, (2, 3)), rtol=1e-15)
-    # constant weights take their one row's mean: the value, shape, dtype, Python type and
-    # writeability of the mean over their rows broadcast to the times
-    times = np.linspace(0.0, 3.0, 9) / G
-    for a in [(1.0, 0.13, 0.03, 0.04), (0.1, 0.2, 0.7, 0.9), (0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0)]:
-        w = EfficiencyWeights.constant(*a)
-        for ta, tb in [(1 / G, 2 / G), (np.array(1 / G), np.array(2 / G)), (times, 2 * times),
-                       (times[:8:2], times[1::2]), (t_a, t_b), (times.reshape(3, 1, 3), times[:3])]:
-            mean = np.mean(w.values(ta, tb), axis=-1)
-            expected = mean if mean.ndim else float(mean)
-            got = w.total_efficiency(ta, tb)
-            assert type(got) is type(expected)
-            got, expected = np.asarray(got), np.asarray(expected)
-            assert (got.shape, got.dtype, got.tobytes()) == (expected.shape, expected.dtype, expected.tobytes())
-            assert got.flags.writeable == expected.flags.writeable
 
 
 def test_lrm_like_joint_weighted_sum():
