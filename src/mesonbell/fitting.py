@@ -9,14 +9,15 @@ problems are posed over a time grid:
 
 subject to a fixed total efficiency mean(a) = eta and box bounds
 a_i in [0, 1].  With one extra variable t bounding the gaps, both are
-linear programs in (a1..a4, t), solved by one HiGHS ``linprog`` call
-(``scipy.optimize`` is imported only there) with presolve off and a 1e-10
-primal feasibility tolerance.  On these 5-column LPs presolve costs about
-as much as the simplex solve at 200 points and far more on dense grids
-(~2.5 s of a 2.7 s fit at 20,000 points), and at the default 1e-7
-tolerance the solve can stop ~1e-7 relative above the optimum there.  The
-tests certify fits against a weak-duality lower bound built from the LP's
-row multipliers, to 1e-9 relative plus 1e-15.
+linear programs in (a1..a4, t), each one HiGHS solve through scipy's
+bundled binding (``scipy.optimize`` is imported only there) with the options
+of ``linprog``, the tests' oracle: presolve off and a 1e-10 primal
+feasibility tolerance.  On these 5-column LPs presolve costs about as much
+as the simplex solve at 200 points and far more on dense grids (~2.5 s of
+a 2.7 s fit at 20,000 points), and at the default 1e-7 tolerance the solve
+can stop ~1e-7 relative above the optimum there.  The tests certify fits
+against a weak-duality lower bound built from the LP's row multipliers, to
+1e-9 relative plus 1e-15.
 
 There is also the pointwise "trivial" assignment a_i = QM / P_i that
 reproduces QM identically wherever it is feasible, i.e. wherever the
@@ -69,7 +70,9 @@ def default_grid(params: OscillationParams, n: int = 200,
 
 @dataclass(frozen=True, eq=False)
 class FitProblem:
-    """One weight-fitting task over a fixed 1-D grid of time pairs; a scalar pair is one point."""
+    """One weight-fitting task over a fixed 1-D grid of time pairs; a scalar pair is one point.
+
+    A 1-D float grid is kept as the caller's own array, not copied."""
 
     params: OscillationParams
     rho: RhoProfile
@@ -124,6 +127,7 @@ class FitResult:
     for ``match_qm``, and the largest positive excess max(0, LRM - QM) for
     ``underbound_qm``.  ``table``, the fitted curve on the LP's own (P, QM),
     has the bits of ``evaluate_gap``; equality and hashing leave it out.
+    Its ``t_a`` and ``t_b`` are the problem's grid arrays, not copies.
 
     ``iterations`` counts HiGHS simplex iterations from the slack basis
     (presolve is off), so it is 0 only where that basis is already optimal.
@@ -210,21 +214,20 @@ def fit_constant_weights(problem: FitProblem) -> FitResult:
 
     Solves the linear program in (a1..a4, t): minimize t subject to
     mean(a) = eta, a_i in [0, 1], t >= 0 and P a / 4 - QM <= t at every grid
-    point (plus QM - P a / 4 <= t for ``match_qm``), with one HiGHS call.
-    The rows are scaled by max |QM| so HiGHS sees O(1) coefficients.
-    HiGHS leaves rounding residue on the box bounds (0.9999999999999998
-    for a forced unit weight, 1e-15 where 0 is meant), so a weight within
-    ``BOUND_SNAP`` of 0 or 1 is put on that bound, and the residual of
-    sum(a) = 4 eta goes onto the interior weight (0 < a_i < 1) with the
-    most room for it, onto a weight at a bound only when none is interior,
-    and that weight is put back on a bound within ``BOUND_SNAP`` of it.  So
-    every weight is 0, 1 or more than ``BOUND_SNAP`` from both, and
-    mean(a) is eta to within ``BOUND_SNAP`` / 4 and rounding.  The
-    reported objective is re-evaluated on the returned weights, and
-    ``iterations`` is the HiGHS simplex iteration count.
+    point (plus QM - P a / 4 <= t for ``match_qm``), by one HiGHS solve
+    through scipy's bundled binding with ``linprog``'s options (``linprog`` is
+    the tests' oracle).  The rows are scaled by max |QM| so HiGHS sees O(1)
+    coefficients.  HiGHS leaves rounding residue on the box bounds
+    (0.9999999999999998 for a forced unit weight, 1e-15 where 0 is meant),
+    so a weight within ``BOUND_SNAP`` of 0 or 1 is put on that bound, and
+    the residual of sum(a) = 4 eta goes onto the interior weight
+    (0 < a_i < 1) with the most room for it, onto a weight at a bound only
+    when none is interior, and that weight is put back on a bound within
+    ``BOUND_SNAP`` of it.  So every weight is 0, 1 or more than
+    ``BOUND_SNAP`` from both, and mean(a) is eta to within ``BOUND_SNAP`` / 4
+    and rounding.  The reported objective is re-evaluated on the returned
+    weights, and ``iterations`` is the HiGHS simplex iteration count.
     """
-    from scipy.optimize import linprog
-
     p, qm = problem.tables()
     total = 4.0 * problem.eta
     scale = float(np.max(np.abs(qm))) or 1.0
@@ -233,14 +236,8 @@ def fit_constant_weights(problem: FitProblem) -> FitResult:
     if problem.objective == "match_qm":
         rows = np.vstack([rows, np.hstack([-rows[:, :4], rows[:, 4:]])])
         rhs = np.concatenate([rhs, -rhs])
-    res = linprog(np.array([0.0, 0.0, 0.0, 0.0, 1.0]), A_ub=rows, b_ub=rhs,
-                  A_eq=np.array([[1.0, 1.0, 1.0, 1.0, 0.0]]), b_eq=[total],
-                  bounds=[(0.0, 1.0)] * 4 + [(0.0, None)], method="highs",
-                  options={"presolve": False, "primal_feasibility_tolerance": 1e-10})
-    if res.status != 0:
-        raise RuntimeError(f"weight-fit linear program failed (status {res.status}): {res.message}")
-
-    a = _on_bounds(res.x[:4])
+    x, nit = _solve_lp(rows, rhs, total)
+    a = _on_bounds(x[:4])
     # interior weights first; a weight at a bound takes the residual only when
     # none is interior, as when HiGHS returns a = 0 for eta = 1e-10
     residual = total - a.sum()
@@ -252,9 +249,36 @@ def fit_constant_weights(problem: FitProblem) -> FitResult:
         weights=weights,
         achieved_eta=weights.total_efficiency(),
         max_abs_gap=_objective_value(table.gap, problem.objective),
-        iterations=int(res.nit),
+        iterations=nit,
         table=table,
     )
+
+
+def _solve_lp(rows, rhs, total):
+    """(x, simplex iterations) of min x[4] s.t. rows @ x <= rhs, sum(x[:4]) = total, x in [0, 1]^4 x [0, inf).
+
+    linprog's model (zeros dropped, column-wise) and options through scipy's HiGHS binding, with its bits;
+    one HiGHS object per call, as fits run on the caller's threads.  A NaN, which HiGHS takes, raises ValueError.
+    """
+    from scipy.optimize._highspy import _core
+    if np.isnan(rows).any() or np.isnan(rhs).any():
+        raise ValueError("weight-fit linear program must not contain nan")
+    col, row = np.nonzero(columns := np.vstack([rows, [1.0, 1.0, 1.0, 1.0, 0.0]]).T)
+    lp, inf = _core.HighsLp(), _core.kHighsInf
+    lp.num_col_, lp.num_row_ = 5, len(rhs) + 1
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = [0.0] * 4 + [1.0], [0.0] * 5, [1.0] * 4 + [inf]
+    lp.row_lower_, lp.row_upper_ = np.append(np.full(len(rhs), -inf), total), np.append(rhs, total)
+    sparse = lp.a_matrix_  # column-wise by default
+    sparse.start_, sparse.index_, sparse.value_ = np.searchsorted(col, np.arange(6)), row, columns[col, row]
+    highs, error = _core._Highs(), _core.HighsStatus.kError
+    options = {"output_flag": False, "presolve": "off", "primal_feasibility_tolerance": 1e-10,
+               "simplex_strategy": _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual}
+    status = _core.HighsModelStatus.kModelError  # of a model refused on entry, as linprog names it
+    if all(highs.setOptionValue(*option) != error for option in options.items()) and highs.passModel(lp) != error:
+        status = highs.getModelStatus() if highs.run() != error else _core.HighsModelStatus.kSolveError
+    if status != _core.HighsModelStatus.kOptimal:
+        raise RuntimeError(f"weight-fit linear program failed: HiGHS model status {highs.modelStatusToString(status)}")
+    return np.array(highs.getSolution().col_value), highs.getInfo().simplex_iteration_count
 
 
 @dataclass(frozen=True)
@@ -286,6 +310,7 @@ def evaluate_gap(params: OscillationParams, rho: RhoProfile, weights: Efficiency
     """Tabulate QM, weighted LRM, the four P_i and the signed gap on a grid.
 
     Time-dependent weights are evaluated once, at the caller's whole grid.
+    A 1-D float grid is kept in the table as the caller's own array, not copied.
     """
     def kernel(t_a, t_b, a, p, qm, lrm, gap):
         _weighted_rate(_table_chunk(params, rho, t_a, t_b, p, qm), a, lrm)

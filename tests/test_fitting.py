@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -346,6 +349,84 @@ def test_fit_reaches_the_optimum_where_descent_stopped_short(eta):
     assert_certified(problem, result)
     if eta == 0.5:
         assert result.max_abs_gap < 5.665e-3
+
+
+# perfbench's fit sweep; saturate_upper_short has P1 = P3 = P4 = 0 exactly, so its
+# LPs have columns with dropped zeros
+SWEEP = [(params, rho, objective, eta / 10) for params, rho in ((KAON, ZERO), (KAON, SAT_UP), (BMESON, ZERO))
+         for objective in OBJECTIVES for eta in range(1, 10)]
+
+
+def linprog_solution(rows, rhs, total):
+    """(x, nit) of the fit's LP as ``linprog`` solves it with the options ``_solve_lp`` gives HiGHS."""
+    res = linprog(np.array([0.0, 0.0, 0.0, 0.0, 1.0]), A_ub=rows, b_ub=rhs,
+                  A_eq=np.array([[1.0, 1.0, 1.0, 1.0, 0.0]]), b_eq=[total],
+                  bounds=[(0.0, 1.0)] * 4 + [(0.0, None)], method="highs",
+                  options={"presolve": False, "primal_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    return res.x, res.nit
+
+
+def test_lp_solver_has_the_bits_of_linprog(monkeypatch):
+    # the LPs the fits pose: the sweep at 200 points, and two chunks' worth of points
+    solve, solved = fitting._solve_lp, []
+    monkeypatch.setattr(fitting, "_solve_lp", lambda *lp: solved.append((lp, solve(*lp))) or solved[-1][1])
+    for params, rho, objective, eta in SWEEP:
+        fit_constant_weights(FitProblem.on_default_grid(params, rho, eta, objective))
+    for params, rho, objective, eta in ((KAON, SAT_UP, "match_qm", 0.3), (BMESON, ZERO, "underbound_qm", 0.7)):
+        fit_constant_weights(FitProblem.on_default_grid(params, rho, eta, objective, n=20_000))
+    assert len(solved) == len(SWEEP) + 2
+    for lp, (x, nit) in solved:
+        expected_x, expected_nit = linprog_solution(*lp)
+        assert x.tobytes() == expected_x.tobytes() and nit == expected_nit and type(nit) is int
+
+
+def test_fits_on_four_threads_at_once_equal_the_serial_fits():
+    # each solve makes its own HiGHS object; one shared by the threads would mix their LPs
+    problems = [FitProblem.on_default_grid(params, rho, eta, objective) for params, rho, objective, eta in SWEEP]
+    serial = [fit_constant_weights(problem) for problem in problems]
+    start, results = threading.Barrier(4), {}
+
+    def sweep(k):
+        start.wait()
+        order = np.roll(np.arange(len(problems)), 13 * k)  # the threads solve different LPs at once
+        try:
+            results[k] = {int(i): fit_constant_weights(problems[i]) for i in order}
+        except Exception as error:  # shown by the comparison below
+            results[k] = error
+
+    threads = [threading.Thread(target=sweep, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    for k in range(4):
+        assert results[k] == dict(enumerate(serial)), k
+
+
+@pytest.mark.parametrize("rows, rhs, total, error, message", [
+    # four weights in [0, 1] cannot sum to 5
+    ([[0.1, 0.2, 0.3, 0.4, -1.0]], [0.5], 5.0, RuntimeError, "HiGHS model status Infeasible"),
+    # HiGHS refuses a coefficient at or above 1e15, and an infinite one, on entry
+    ([[1e16, 0.2, 0.3, 0.4, -1.0]], [0.5], 1.0, RuntimeError, "HiGHS model status Model error"),
+    ([[np.inf, 0.2, 0.3, 0.4, -1.0]], [0.5], 1.0, RuntimeError, "HiGHS model status Model error"),
+    ([[np.nan, 0.2, 0.3, 0.4, -1.0]], [0.5], 1.0, ValueError, "must not contain nan"),
+    ([[0.1, 0.2, 0.3, 0.4, -1.0]], [np.nan], 1.0, ValueError, "must not contain nan"),
+])
+def test_lp_solver_failures_raise_instead_of_returning_weights(monkeypatch, rows, rhs, total, error, message):
+    from scipy.optimize._highspy import _core
+
+    if error is ValueError:
+        # HiGHS takes a NaN and reports an optimum, so the check runs before any HiGHS object exists
+        monkeypatch.setattr(_core, "_Highs", None)
+        monkeypatch.setattr(_core, "HighsLp", None)
+    with pytest.raises(error, match=f"weight-fit linear program .*{message}"):
+        fitting._solve_lp(np.array(rows), np.array(rhs), total)
 
 
 def assert_same_bytes(table, expected):

@@ -46,6 +46,8 @@ PROBES = (
     ("fit", "--preset", "fig3", "--eta", "0.3", "--grid", "0.2:5:20000", "--out", "-"),
     # a non-round eta, and an input gap from weights given by flag
     ("fit", "--preset", "fig3", "--eta", "0.123456789", "--weights", "0.5,0.13,0.5,0.07", "--out", "-"),
+    # saturate_upper_short: P1 = P3 = P4 = 0 exactly, so three LP columns hold zeros but for the budget row
+    ("fit", "--preset", "fig1", "--eta", "0.5", "--out", "-"),
     ("curve", "--config", CONFIG),
     ("mc", "--grid", "1:1:1", "--config", CONFIG),
     *(("mc", "--preset", p, "--seed", s) for p in ("fig1", "fig3", "fig4") for s in ("42", "7")),
